@@ -38,6 +38,7 @@ import tracemalloc
 import pytest
 
 from repro.bench.harness import BENCH_SEED, scenario_dataset
+from repro.bench.reference import reference_run
 from repro.columns import RecordFrame
 from repro.core.breakdown import exclusive_status_breakdown, status_breakdown
 from repro.core.diversity import diversity_breakdown
@@ -176,7 +177,7 @@ def test_perf_streamed_tables_bounded_memory(
 
     tracemalloc.start()
     dataset = read_trace(path)
-    by_records = PaperExperiment().run_on(dataset, engine="records")
+    by_records = reference_run(dataset).experiment
     _, record_path_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert by_records.render_all() == result.render_all()  # same tables

@@ -12,8 +12,8 @@ default 0.1 -- about 144k requests):
   legacy ``Sessionizer`` + per-session ``extract_features`` loop; the
   acceptance floor is a 3x speedup;
 * **tables run** -- the full paper experiment
-  (``PaperExperiment.run_on``) under the ``columnar`` and ``records``
-  engines;
+  (``PaperExperiment.run_on``) against the record-path reference
+  (:func:`repro.bench.reference.reference_run`);
 * **zero-decode trace ingestion** -- ``TraceReader.read_frame`` against
   ``read_dataset`` + ``from_dataset`` for trace-backed runs.
 
@@ -31,6 +31,7 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import BENCH_SEED, scenario_dataset
+from repro.bench.reference import reference_run
 from repro.columns import FeatureMatrix, RecordFrame, sessionize_frame
 from repro.core.experiment import PaperExperiment
 from repro.detectors.features import extract_features
@@ -98,17 +99,13 @@ def test_perf_feature_extraction_frame_vs_records(columns_dataset, record_bench)
 
 
 def test_perf_tables_run_columnar_vs_records(columns_dataset, record_bench):
-    """The full tables experiment must not be slower on the columnar engine."""
-    records_seconds = _best_of(
-        lambda: PaperExperiment().run_on(columns_dataset, engine="records"), rounds=1
-    )
-    columnar_seconds = _best_of(
-        lambda: PaperExperiment().run_on(columns_dataset, engine="columnar"), rounds=2
-    )
+    """The full tables experiment must not be slower than the record-path reference."""
+    records_seconds = _best_of(lambda: reference_run(columns_dataset), rounds=1)
+    columnar_seconds = _best_of(lambda: PaperExperiment().run_on(columns_dataset), rounds=2)
     speedup = records_seconds / columnar_seconds
     print(
-        f"\ntables run: records engine {records_seconds:.2f}s, "
-        f"columnar engine {columnar_seconds:.2f}s (x{speedup:.1f})"
+        f"\ntables run: record-path reference {records_seconds:.2f}s, "
+        f"batch pipeline {columnar_seconds:.2f}s (x{speedup:.1f})"
     )
     record_bench(
         "perf_columns",

@@ -8,7 +8,7 @@ obs benchmark scale (``REPRO_OBS_BENCH_SCALE``, default 0.1 -- about
 144k requests, the ISSUE's acceptance bar):
 
 * **tables overhead** -- the full paper experiment
-  (``PaperExperiment.run_on`` on the columnar engine) with a live
+  (``PaperExperiment.run_on``) with a live
   ``MetricsRegistry`` against the same run with none; the acceptance
   ceiling is 5% overhead;
 * **null-registry dispatch** -- the per-call cost of the disabled
@@ -59,11 +59,11 @@ def test_perf_tables_instrumentation_overhead(obs_dataset, record_bench):
     registries: list[MetricsRegistry] = []
 
     def plain_run():
-        experiment.run_on(obs_dataset, engine="columnar")
+        experiment.run_on(obs_dataset)
 
     def instrumented_run():
         registry = MetricsRegistry()
-        experiment.run_on(obs_dataset, engine="columnar", registry=registry)
+        experiment.run_on(obs_dataset, registry=registry)
         registries.append(registry)
 
     # One warm-up apiece so caches and allocators settle before timing.

@@ -7,8 +7,8 @@ boundaries and sampler ticks.  This module measures the claim at the
 profiler benchmark scale (``REPRO_PROF_BENCH_SCALE``, default 0.1 --
 about 144k requests, the ISSUE's acceptance bar):
 
-* **tables overhead** -- the full paper experiment on the columnar
-  engine under the default profile (sampling + memory capture) against
+* **tables overhead** -- the full paper experiment under the default
+  profile (sampling + memory capture) against
   the same instrumented run unprofiled; the acceptance ceiling is 10%;
 * **precise-memory overhead** -- the same run with
   ``precise_memory=True`` (continuous tracemalloc).  Tracemalloc taxes
@@ -65,14 +65,14 @@ def _timed_runs(dataset, options: ProfileOptions, rounds: int) -> tuple[float, f
     profiles: list[Profile] = []
 
     def plain_run():
-        experiment.run_on(dataset, engine="columnar", registry=MetricsRegistry())
+        experiment.run_on(dataset, registry=MetricsRegistry())
 
     def profiled_run():
         registry = MetricsRegistry()
         profiler = Profiler(registry, options)
         profiler.start()
         try:
-            experiment.run_on(dataset, engine="columnar", registry=registry)
+            experiment.run_on(dataset, registry=registry)
         finally:
             profiles.append(profiler.stop())
 

@@ -93,7 +93,6 @@ import time
 from typing import Iterator, Sequence
 
 from repro import __version__
-from repro.detectors.pipeline import ENGINES
 from repro.logs.writer import LogWriter
 from repro.mitigation import list_policies, render_comparison
 from repro.obs import logging_setup
@@ -219,16 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tables.add_argument("--log-file", default=None, help="analyse an existing access log instead of generating one")
     tables.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="columnar",
-        help="batch pipeline engine (vectorized columnar substrate or legacy record path)",
-    )
-    tables.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="shard the record frame by visitor across N worker processes (columnar engine)",
+        help="shard the record frame by visitor across N worker processes",
     )
 
     evaluate = subparsers.add_parser(
@@ -238,16 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate.add_argument("--configurations", action="store_true", help="also compare parallel vs serial deployments")
     evaluate.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="columnar",
-        help="batch pipeline engine (vectorized columnar substrate or legacy record path)",
-    )
-    evaluate.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="shard the record frame by visitor across N worker processes (columnar engine)",
+        help="shard the record frame by visitor across N worker processes",
     )
 
     stream = subparsers.add_parser(
@@ -728,7 +715,7 @@ def _command_tables(args: argparse.Namespace) -> int:
     spec = RunSpec(
         mode="tables",
         traffic=_traffic_spec(args, log_file=args.log_file),
-        execution=ExecutionSpec(engine=args.engine, workers=args.workers),
+        execution=ExecutionSpec(workers=args.workers),
     )
     with _obs_session(args) as registry:
         result = execute(
@@ -744,7 +731,6 @@ def _command_evaluate(args: argparse.Namespace) -> int:
         traffic=_traffic_spec(args),
         execution=ExecutionSpec(
             compare_configurations=args.configurations,
-            engine=args.engine,
             workers=args.workers,
         ),
     )

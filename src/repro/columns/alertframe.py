@@ -24,10 +24,10 @@ tuple and gathering through codes removes the per-alert Python.
 :class:`AlertFrame` bundles one ``DetectorAlerts`` per detector over a
 shared frame; :meth:`~repro.core.alerts.AlertMatrix.from_alert_frame`
 stacks the flag columns into the boolean matrix with no per-alert
-iteration.  The dict path stays available through
-:meth:`DetectorAlerts.to_alert_set` / :meth:`from_alert_set` -- the
-bridge the equivalence suite uses to prove both representations carry
-identical ids, scores and reasons.
+iteration.  :meth:`DetectorAlerts.to_alert_set` gives the dict-path
+view the equivalence suite compares with the record reference, and
+:meth:`DetectorAlerts.from_alert_set` columnarises the alert set of a
+detector that only implements the record path.
 
 Shard merge: :meth:`DetectorAlerts.scatter` writes a sub-frame's arrays
 back into a global frame's arrays at the shard's row positions,
@@ -37,7 +37,7 @@ join step of the multi-process frame pipeline.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -137,7 +137,7 @@ class DetectorAlerts:
     def from_alert_set(
         cls, frame: "RecordFrame", alert_set: AlertSet
     ) -> "DetectorAlerts":
-        """Columnarise a dict-path :class:`AlertSet` (the fallback bridge).
+        """Columnarise a dict-path :class:`AlertSet` (the record bridge).
 
         Unknown request ids are an error, mirroring the strict mode of
         :meth:`~repro.core.alerts.AlertMatrix.from_alert_sets`.
@@ -291,28 +291,31 @@ def whitelist_row_mask(
     return mask
 
 
-def encode_session_reasons(
-    verdict_reasons: Iterable[tuple[str, ...]],
-) -> tuple[np.ndarray, list[tuple[str, ...]]]:
-    """Dictionary-encode an iterable of per-session reason tuples."""
-    encoder = ReasonEncoder()
-    codes = np.fromiter(
-        (encoder.code(reasons) for reasons in verdict_reasons), np.int64
-    )
-    return codes, encoder.table
-
-
-def merge_scored_rows(
+def session_alerts(
     detector_name: str,
-    n: int,
-    scored_rows: Mapping[int, tuple[float, tuple[str, ...]]],
+    frame: "RecordFrame",
+    sessions: "FrameSessions",
+    flags: np.ndarray,
+    scores: np.ndarray,
+    reasons_of: Callable[[int], tuple[str, ...]],
 ) -> DetectorAlerts:
-    """Alert columns from a ``{row: (score, reasons)}`` mapping."""
-    alerts = DetectorAlerts.empty(detector_name, n)
+    """Alert the rows of every flagged session.
+
+    Session ``index`` is alerted when ``flags[index]`` is set, scored
+    ``scores[index]`` and explained by ``reasons_of(index)`` (called for
+    flagged sessions only); the verdicts are broadcast to the session's
+    rows by one vectorized scatter.
+    """
+    codes = np.full(len(flags), -1, dtype=np.int64)
     encoder = ReasonEncoder()
-    for row, (score, reasons) in scored_rows.items():
-        alerts.flags[row] = True
-        alerts.scores[row] = score
-        alerts.reason_codes[row] = encoder.code(tuple(reasons))
-    alerts.reason_table = encoder.table
-    return alerts
+    for index in np.flatnonzero(flags).tolist():
+        codes[index] = encoder.code(reasons_of(index))
+    return DetectorAlerts.from_sessions(
+        detector_name,
+        frame,
+        sessions,
+        flags,
+        np.where(flags, scores, 0.0),
+        codes,
+        encoder.table,
+    )

@@ -81,16 +81,6 @@ class FrameSessions:
         """The session's client IP string."""
         return self.frame.tables["client_ip"][self.ip_codes[index]]
 
-    def request_id_groups(self) -> list[list[str]]:
-        """Per session: the request ids, in session-record order."""
-        request_ids = self.frame.request_ids
-        starts = self.starts
-        order = self.order
-        return [
-            [request_ids[row] for row in order[starts[j] : starts[j + 1]]]
-            for j in range(len(self))
-        ]
-
     def to_sessions(self, records: Sequence[LogRecord] | None = None) -> list[Session]:
         """Materialise legacy :class:`Session` objects (compatibility layer).
 

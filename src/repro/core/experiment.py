@@ -13,16 +13,16 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.core.alerts import AlertMatrix
-from repro.core.breakdown import BreakdownTable, exclusive_status_breakdown, status_breakdown
+from repro.core.breakdown import BreakdownTable
 from repro.core.diversity import DiversityBreakdown, diversity_breakdown
-from repro.core.evaluation import DetectorEvaluation, evaluate_ensemble, evaluate_matrix
+from repro.core.evaluation import DetectorEvaluation
 from repro.core.framestats import (
     evaluate_ensemble_from_frame,
     evaluate_matrix_from_frame,
     pairwise_diversity_from_frame,
     status_tables_from_frame,
 )
-from repro.core.metrics import PairwiseDiversity, pairwise_diversity
+from repro.core.metrics import PairwiseDiversity
 from repro.core.reporting import (
     render_side_by_side,
     render_status_breakdown,
@@ -128,52 +128,19 @@ class PaperExperiment:
         self,
         dataset: Dataset,
         *,
-        engine: str = "columnar",
         registry: "MetricsRegistry | None" = None,
     ) -> ExperimentResult:
         """Run both tools on an existing data set and compute every table.
 
-        ``engine`` selects the batch pipeline implementation:
-        ``"columnar"`` (default) runs the detectors over the vectorized
-        :mod:`repro.columns` substrate, ``"records"`` over the legacy
-        record-object path.  The two produce identical results.
-        ``registry`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
+        Builds the data set's :class:`~repro.columns.RecordFrame` and
+        delegates to :meth:`run_on_frame`, attaching ``dataset`` to the
+        result.  ``registry`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
         collects the pipeline's counters and stage timings when given.
         """
-        pipeline = DetectionPipeline(
-            [self.first_detector, self.second_detector], registry=registry
-        )
-        pipeline_result = pipeline.run(dataset, engine=engine)
-        matrix = pipeline_result.matrix
-        first = self.first_detector.name
-        second = self.second_detector.name
+        from repro.columns import RecordFrame
 
-        breakdown = diversity_breakdown(matrix, first, second)
-        status_tables = {name: status_breakdown(dataset, matrix, name) for name in (first, second)}
-        exclusive_tables = {
-            name: exclusive_status_breakdown(dataset, matrix, name) for name in (first, second)
-        }
-        metrics = pairwise_diversity(matrix, first, second, dataset=dataset)
-
-        tool_evaluations: list[DetectorEvaluation] = []
-        adjudication_evaluations: list[DetectorEvaluation] = []
-        if dataset.is_labelled:
-            tool_evaluations = evaluate_matrix(dataset, matrix)
-            adjudication_evaluations = evaluate_ensemble(dataset, matrix)
-
-        return ExperimentResult(
-            dataset=dataset,
-            matrix=matrix,
-            total_requests=len(dataset),
-            alert_counts=matrix.alert_counts(),
-            breakdown=breakdown,
-            status_tables=status_tables,
-            exclusive_status_tables=exclusive_tables,
-            diversity_metrics=metrics,
-            tool_evaluations=tool_evaluations,
-            adjudication_evaluations=adjudication_evaluations,
-            timings=pipeline_result.timings,
-        )
+        frame = RecordFrame.from_dataset(dataset, registry=registry)
+        return self.run_on_frame(frame, registry=registry, dataset=dataset)
 
     def run_on_frame(
         self,
@@ -207,7 +174,7 @@ class PaperExperiment:
         first = self.first_detector.name
         second = self.second_detector.name
 
-        with trace_span("analysis", registry, engine="columnar"):
+        with trace_span("analysis", registry):
             breakdown = diversity_breakdown(matrix, first, second)
             status_tables, exclusive_tables = status_tables_from_frame(
                 frame, matrix, (first, second)
@@ -235,10 +202,7 @@ class PaperExperiment:
             frame=frame,
         )
 
-    def run_scenario(
-        self, scenario: Scenario | None = None, *, engine: str = "columnar"
-    ) -> ExperimentResult:
+    def run_scenario(self, scenario: Scenario | None = None) -> ExperimentResult:
         """Generate the scenario's data set (default: the March-2018 scenario) and run."""
         scenario = scenario or amadeus_march_2018()
-        dataset = generate_dataset(scenario)
-        return self.run_on(dataset, engine=engine)
+        return self.run_on(generate_dataset(scenario))

@@ -23,6 +23,31 @@ from repro.logs.sessionization import Session, Sessionizer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columns import FeatureMatrix, FrameSessions, RecordFrame
+    from repro.columns.alertframe import DetectorAlerts
+
+
+def anomalous_sessions(
+    model: AnomalyModel, matrix: np.ndarray, contamination: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fit ``model`` on ``matrix`` and pick the top-``contamination`` rows.
+
+    One row of ``matrix`` describes one session.  Returns per-row alert
+    flags, alert scores (the anomaly score normalised by the largest
+    one, capped at 1) and the raw anomaly scores.  This is the single
+    definition of the fit/threshold/normalise step, shared by the batch
+    detector below and the streaming port
+    (:class:`repro.stream.detectors.OnlineAnomalyDetector`) so their
+    alert sets can never drift apart.
+    """
+    scores = model.fit_score(matrix)
+    threshold = model.threshold_for_contamination(scores, contamination)
+    max_score = float(scores.max()) or 1.0
+    return ~(scores < threshold), np.minimum(1.0, scores / max_score), scores
+
+
+def anomaly_reasons(model: AnomalyModel, score: float) -> tuple[str, ...]:
+    """The alert reasons of a session with raw anomaly score ``score``."""
+    return (f"anomalous session ({model.__class__.__name__} score {score:.3f})",)
 
 
 def alert_anomalous_groups(
@@ -32,35 +57,22 @@ def alert_anomalous_groups(
     request_id_groups: Sequence[Sequence[str]],
     contamination: float,
 ) -> None:
-    """Fit ``model`` on ``matrix`` and alert the top-``contamination`` rows.
+    """Alert every request of the sessions :func:`anomalous_sessions` picks.
 
-    One row of ``matrix`` describes one session; ``request_id_groups``
-    holds the session's request ids in the same row order.  This is the
-    single definition of the fit/threshold/normalise/alert step, shared
-    by the batch detector below and the streaming port
-    (:class:`repro.stream.detectors.OnlineAnomalyDetector`) so their
-    alert sets can never drift apart.
+    ``request_id_groups`` holds each session's request ids in the row
+    order of ``matrix``.
     """
-    scores = model.fit_score(matrix)
-    threshold = model.threshold_for_contamination(scores, contamination)
-    max_score = float(scores.max()) or 1.0
-    for request_ids, score in zip(request_id_groups, scores):
-        if score < threshold:
-            continue
-        for request_id in request_ids:
-            alert_set.add(
-                request_id,
-                score=min(1.0, float(score) / max_score),
-                reasons=(f"anomalous session ({model.__class__.__name__} score {score:.3f})",),
-            )
+    flags, alert_scores, scores = anomalous_sessions(model, matrix, contamination)
+    for index in np.flatnonzero(flags).tolist():
+        alert_set.add_many(
+            request_id_groups[index],
+            score=float(alert_scores[index]),
+            reasons=anomaly_reasons(model, float(scores[index])),
+        )
 
 
 class AnomalySessionDetector(Detector):
     """Alert on the most anomalous sessions according to an unsupervised model."""
-
-    #: The frame pipeline bridges the dict-path alert set into arrays;
-    #: model scoring has no array-native formulation worth maintaining.
-    frame_fallback = True
 
     def __init__(
         self,
@@ -94,19 +106,23 @@ class AnomalySessionDetector(Detector):
         )
         return alert_set
 
-    def analyze_columns(
+    def alert_columns(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> AlertSet:
-        alert_set = AlertSet(self.name)
+    ) -> "DetectorAlerts":
+        from repro.columns.alertframe import DetectorAlerts, session_alerts
+
         if len(features) < 2:
-            return alert_set
+            return DetectorAlerts.empty(self.name, len(frame))
         # Copy so a model that standardises in place can never corrupt
         # the shared matrix for later detectors.
-        alert_anomalous_groups(
-            alert_set,
-            self.model,
-            features.values.copy(),
-            sessions.request_id_groups(),
-            self.contamination,
+        flags, alert_scores, scores = anomalous_sessions(
+            self.model, features.values.copy(), self.contamination
         )
-        return alert_set
+        return session_alerts(
+            self.name,
+            frame,
+            sessions,
+            flags,
+            alert_scores,
+            lambda index: anomaly_reasons(self.model, float(scores[index])),
+        )

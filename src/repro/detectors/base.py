@@ -1,10 +1,22 @@
 """Detector base classes.
 
-Every detector consumes a :class:`~repro.logs.dataset.Dataset` (records
-only -- never the ground truth) and produces an
-:class:`~repro.core.alerts.AlertSet`.  Two base classes are provided:
+A detector has two entry points over the same judgement logic:
 
-* :class:`Detector` -- the minimal interface (``analyze``).
+* ``analyze`` consumes a :class:`~repro.logs.dataset.Dataset` (records
+  only -- never the ground truth) and produces an
+  :class:`~repro.core.alerts.AlertSet`.  It is the reference
+  implementation the test suite holds the batch path to.
+* ``alert_columns`` consumes a :class:`~repro.columns.RecordFrame` with
+  its session spans and feature matrix and produces per-row alert
+  arrays.  It is the one batch path
+  (:class:`~repro.detectors.pipeline.DetectionPipeline`).  Detectors
+  without an array implementation inherit a bridge that runs ``analyze``
+  over the frame's records.
+
+Implement ``analyze`` as the reference and ``alert_columns`` for batch.
+Two base classes are provided:
+
+* :class:`Detector` -- the minimal interface.
 * :class:`SessionDetector` -- for detectors that reason about visitor
   sessions; it handles sessionization and lets subclasses implement a
   single ``judge_session`` method.  Sessionization is the dominant cost
@@ -54,41 +66,28 @@ class Detector(abc.ABC):
             do not need sessions ignore the argument.
         """
 
-    def analyze_columns(
-        self,
-        frame: "RecordFrame",
-        sessions: "FrameSessions",
-        features: "FeatureMatrix",
-    ) -> AlertSet | None:
-        """Analyse a columnar frame directly (the vectorized batch path).
-
-        Returns the detector's alert set, or ``None`` when this detector
-        has no columnar implementation -- the pipeline then falls back to
-        :meth:`analyze` over materialised
-        :class:`~repro.logs.sessionization.Session` objects.  A columnar
-        implementation must produce exactly the alerts :meth:`analyze`
-        would (ids, scores and reasons); the equivalence suite pins this
-        for every built-in detector.
-        """
-        return None
-
     def alert_columns(
         self,
         frame: "RecordFrame",
         sessions: "FrameSessions",
         features: "FeatureMatrix",
-    ) -> "DetectorAlerts | None":
-        """Analyse a frame into columnar alert arrays (the frame-native path).
+    ) -> "DetectorAlerts":
+        """Analyse a frame into columnar alert arrays (the batch contract).
 
         Returns a :class:`~repro.columns.alertframe.DetectorAlerts` --
-        per-row flag/score/reason-code arrays -- or ``None`` when this
-        detector has no array implementation; the frame pipeline then
-        falls back to :meth:`analyze_columns` (bridging its
-        :class:`AlertSet` into arrays) and finally to :meth:`analyze`
-        over materialised records.  An implementation must carry exactly
-        the ids, scores and reasons the dict path would.
+        per-row flag/score/reason-code arrays -- and is the only method
+        the batch pipeline calls.  An override must carry exactly the
+        ids, scores and reasons :meth:`analyze` produces (the golden
+        digests and the reference suite pin this).  This default is the
+        bridge for record-only detectors: it runs :meth:`analyze` over
+        the frame's records and the spans' sessions, then columnarises
+        the alert set.
         """
-        return None
+        from repro.columns.alertframe import DetectorAlerts
+
+        dataset = frame.to_dataset()
+        alert_set = self.analyze(dataset, sessions=sessions.to_sessions(dataset.records))
+        return DetectorAlerts.from_alert_set(frame, alert_set)
 
     def describe(self) -> str:
         """A one-line description (defaults to the class docstring's first line)."""
@@ -107,10 +106,6 @@ class SessionDetector(Detector):
     session is then alerted, which matches how both commercial products
     and in-house tools attribute session verdicts back to requests.
     """
-
-    #: Session detectors deliberately run the record path under the
-    #: columnar engine: sessionization is inherently row-ordered.
-    columnar_fallback = True
 
     def __init__(self, sessionizer: Sessionizer | None = None):
         self.sessionizer = sessionizer or Sessionizer()

@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.alerts import AlertSet
 from repro.detectors.base import SessionDetector
 from repro.detectors.features import SessionFeatures, extract_features
 from repro.detectors.fingerprint import UserAgentFingerprintDetector
@@ -132,99 +131,6 @@ class BehavioralSessionDetector(SessionDetector):
         return normalised, tuple(signals)
 
     # ------------------------------------------------------------------
-    def scored_columns(
-        self,
-        frame: "RecordFrame",
-        sessions: "FrameSessions",
-        features: "FeatureMatrix",
-        fingerprint_verdicts: "dict | None" = None,
-    ) -> dict[str, tuple[float, tuple[str, ...]]]:
-        """Per-record ``{request_id: (score, reasons)}`` over a frame.
-
-        ``fingerprint_verdicts`` shares an already-computed
-        :meth:`~repro.detectors.fingerprint.UserAgentFingerprintDetector.pair_verdicts`
-        result (the commercial composite judges each pair once for all
-        its layers).
-        """
-        config = self.config
-        counts = features.counts
-        cv = features.column("interarrival_cv")
-
-        verdicts = (
-            fingerprint_verdicts
-            if fingerprint_verdicts is not None
-            else self.fingerprint.pair_verdicts(frame)
-        )
-        fingerprinted = np.fromiter(
-            (
-                (int(agent), int(ip)) in verdicts
-                for agent, ip in zip(sessions.agent_codes, sessions.ip_codes)
-            ),
-            bool,
-            len(features),
-        )
-        # The same evidence signals as score_session, evaluated for every
-        # session at once; the weight additions run in the same order, so
-        # the accumulated scores are bit-identical (adding 0.0 is exact).
-        signals = (
-            (
-                features.column("asset_fraction") < config.no_assets_threshold,
-                config.no_assets_weight,
-            ),
-            (
-                features.column("referrer_fraction") < config.no_referrer_threshold,
-                config.no_referrer_weight,
-            ),
-            (
-                (counts >= config.machine_timing_min_requests)
-                & (cv < config.machine_timing_cv),
-                config.machine_timing_weight,
-            ),
-            (counts >= config.high_volume_requests, config.high_volume_weight),
-            (
-                (counts >= config.coverage_min_requests)
-                & (features.column("unique_path_ratio") > config.coverage_ratio),
-                config.coverage_weight,
-            ),
-            (features.column("night_fraction") > config.night_fraction, config.night_weight),
-            (fingerprinted, config.fingerprint_weight),
-        )
-        scores = np.zeros(len(features))
-        for fired, weight in signals:
-            scores = scores + np.where(fired, weight, 0.0)
-
-        alerted = scores >= config.alert_threshold
-        normalised = np.minimum(1.0, scores / (2 * config.alert_threshold))
-        request_ids = frame.request_ids
-        order, starts = sessions.order, sessions.starts
-        scored: dict[str, tuple[float, tuple[str, ...]]] = {}
-        for index in np.flatnonzero(alerted).tolist():
-            reasons: list[str] = []
-            if signals[0][0][index]:
-                reasons.append("no static assets loaded")
-            if signals[1][0][index]:
-                reasons.append("no referrer headers")
-            if signals[2][0][index]:
-                reasons.append(f"machine-regular timing (cv={float(cv[index]):.2f})")
-            if signals[3][0][index]:
-                reasons.append(f"high volume ({int(counts[index])} requests)")
-            if signals[4][0][index]:
-                reasons.append("exhaustive URL coverage")
-            if signals[5][0][index]:
-                reasons.append("night-time activity")
-            if signals[6][0][index]:
-                reasons.append("non-browser client fingerprint")
-            verdict = (float(normalised[index]), tuple(reasons))
-            for row in order[starts[index] : starts[index + 1]].tolist():
-                scored[request_ids[row]] = verdict
-        return scored
-
-    def analyze_columns(
-        self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> AlertSet:
-        return AlertSet.from_scored(self.name, self.scored_columns(frame, sessions, features))
-
-    # ------------------------------------------------------------------
     def verdict_alerts(
         self,
         frame: "RecordFrame",
@@ -234,12 +140,15 @@ class BehavioralSessionDetector(SessionDetector):
     ) -> "DetectorAlerts":
         """Frame-native alert arrays: per-session evidence scattered to rows.
 
-        The evidence accumulation is identical to :meth:`scored_columns`
-        (same signal order, bit-identical scores); only the per-row
-        expansion differs -- a vectorized session -> row scatter instead
-        of a Python loop over every alerted request.
+        The same evidence signals as :meth:`score_session`, evaluated
+        for every session at once; the weight additions run in the same
+        order, so the accumulated scores are bit-identical (adding 0.0
+        is exact).  ``fingerprint_verdicts`` shares an already-computed
+        :meth:`~repro.detectors.fingerprint.UserAgentFingerprintDetector.pair_verdicts`
+        result (the commercial composite judges each pair once for all
+        its layers).
         """
-        from repro.columns.alertframe import DetectorAlerts, ReasonEncoder
+        from repro.columns.alertframe import session_alerts
 
         config = self.config
         counts = features.counts
@@ -285,11 +194,7 @@ class BehavioralSessionDetector(SessionDetector):
         for fired, weight in signals:
             scores = scores + np.where(fired, weight, 0.0)
 
-        alerted = scores >= config.alert_threshold
-        normalised = np.minimum(1.0, scores / (2 * config.alert_threshold))
-        session_codes = np.full(len(features), -1, dtype=np.int64)
-        encoder = ReasonEncoder()
-        for index in np.flatnonzero(alerted).tolist():
+        def reasons_of(index: int) -> tuple[str, ...]:
             reasons: list[str] = []
             if signals[0][0][index]:
                 reasons.append("no static assets loaded")
@@ -305,15 +210,15 @@ class BehavioralSessionDetector(SessionDetector):
                 reasons.append("night-time activity")
             if signals[6][0][index]:
                 reasons.append("non-browser client fingerprint")
-            session_codes[index] = encoder.code(tuple(reasons))
-        return DetectorAlerts.from_sessions(
+            return tuple(reasons)
+
+        return session_alerts(
             self.name,
             frame,
             sessions,
-            alerted,
-            np.where(alerted, normalised, 0.0),
-            session_codes,
-            encoder.table,
+            scores >= config.alert_threshold,
+            np.minimum(1.0, scores / (2 * config.alert_threshold)),
+            reasons_of,
         )
 
     def alert_columns(

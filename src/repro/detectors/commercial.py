@@ -84,34 +84,20 @@ class CommercialBotDefenceDetector(Detector):
         :meth:`~repro.core.alerts.AlertSet.add` merge semantics, computed
         in plain dictionaries and materialised once at the end.
         """
-        layer_scored = [
-            (
-                layer_name,
-                {alert.request_id: (alert.score, alert.reasons) for alert in alerts.alerts()},
-            )
-            for layer_name, alerts in layer_alerts
-        ]
-        return self._merge_scored(layer_scored, whitelisted)
-
-    def _merge_scored(
-        self,
-        layer_scored: Sequence[tuple[str, dict[str, tuple[float, tuple[str, ...]]]]],
-        whitelisted: set[str],
-    ) -> AlertSet:
         merged: dict[str, list] = {}
-        for layer_name, scored in layer_scored:
-            for request_id, (score, raw_reasons) in scored.items():
-                if request_id in whitelisted:
+        for layer_name, alerts in layer_alerts:
+            for alert in alerts.alerts():
+                if alert.request_id in whitelisted:
                     continue
                 reasons = tuple(
-                    f"{layer_name}: {reason}" for reason in raw_reasons
+                    f"{layer_name}: {reason}" for reason in alert.reasons
                 ) or (layer_name,)
-                entry = merged.get(request_id)
+                entry = merged.get(alert.request_id)
                 if entry is None:
-                    merged[request_id] = [score, reasons]
+                    merged[alert.request_id] = [alert.score, reasons]
                 else:
-                    if score > entry[0]:
-                        entry[0] = score
+                    if alert.score > entry[0]:
+                        entry[0] = alert.score
                     entry[1] = entry[1] + reasons
         return AlertSet.from_scored(
             self.name,
@@ -132,45 +118,6 @@ class CommercialBotDefenceDetector(Detector):
             ("behavioral", self.behavioral.analyze(dataset, sessions=sessions)),
         ]
         return self._combine(layer_alerts, self._whitelisted_request_ids(sessions))
-
-    def analyze_columns(
-        self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> AlertSet:
-        # The layers hand over plain scored dictionaries: the composite
-        # merges those directly and materialises alert objects exactly
-        # once, for the combined set.  The fingerprint pair verdicts are
-        # judged once and shared between the two layers that need them.
-        verdicts = self.fingerprint.pair_verdicts(frame)
-        layer_scored = [
-            ("fingerprint", self.fingerprint.scored_columns(frame, verdicts)),
-            ("reputation", self.reputation.scored_columns(frame)),
-            ("rate", self.ratelimit.scored_columns(frame, sessions, features)),
-            (
-                "behavioral",
-                self.behavioral.scored_columns(
-                    frame, sessions, features, fingerprint_verdicts=verdicts
-                ),
-            ),
-        ]
-        # Verified-crawler whitelist, per (agent, IP) pair instead of per
-        # session: a pair's verdict covers all its sessions at once.
-        whitelisted: set[str] = set()
-        agents = frame.tables["user_agent"]
-        ips = frame.tables["client_ip"]
-        pair_cache: dict[tuple[int, int], bool] = {}
-        request_ids = frame.request_ids
-        order, starts = sessions.order, sessions.starts
-        for index in range(len(sessions)):
-            pair = (int(sessions.agent_codes[index]), int(sessions.ip_codes[index]))
-            verified = pair_cache.get(pair)
-            if verified is None:
-                verified = self.fingerprint.is_verified_crawler(agents[pair[0]], ips[pair[1]])
-                pair_cache[pair] = verified
-            if verified:
-                whitelisted.update(
-                    request_ids[row] for row in order[starts[index] : starts[index + 1]]
-                )
-        return self._merge_scored(layer_scored, whitelisted)
 
     def alert_columns(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"

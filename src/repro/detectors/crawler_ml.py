@@ -32,14 +32,11 @@ from repro.ml.decision_tree import DecisionTreeClassifier
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columns import FeatureMatrix, FrameSessions, RecordFrame
+    from repro.columns.alertframe import DetectorAlerts
 
 
 class CrawlerDecisionTreeDetector(Detector):
     """Session classifier built on the from-scratch CART tree."""
-
-    #: The frame pipeline bridges the dict-path alert set into arrays;
-    #: model scoring has no array-native formulation worth maintaining.
-    frame_fallback = True
 
     def __init__(
         self,
@@ -106,12 +103,13 @@ class CrawlerDecisionTreeDetector(Detector):
         return alert_set
 
     # ------------------------------------------------------------------
-    def analyze_columns(
+    def alert_columns(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> AlertSet:
-        alert_set = AlertSet(self.name)
+    ) -> "DetectorAlerts":
+        from repro.columns.alertframe import DetectorAlerts, session_alerts
+
         if len(features) == 0:
-            return alert_set
+            return DetectorAlerts.empty(self.name, len(frame))
 
         matrix = features.values
 
@@ -119,20 +117,18 @@ class CrawlerDecisionTreeDetector(Detector):
             indices, labels = pseudo_label_matrix(features, self.pseudo_label_config)
             if indices.size == 0 or np.unique(labels).size < 2:
                 # Nothing confident to train on; stay silent rather than guess.
-                return alert_set
+                return DetectorAlerts.empty(self.name, len(frame))
             effective_min_leaf = max(1, min(self.min_leaf, int(indices.size) // 4))
             self.model = DecisionTreeClassifier(max_depth=self.max_depth, min_leaf=effective_min_leaf)
             self.model.fit(matrix[indices], labels)
 
         assert self.model is not None
         probabilities = self.model.predict_proba(matrix)
-        request_ids = frame.request_ids
-        order, starts = sessions.order, sessions.starts
-        for index in np.flatnonzero(probabilities >= self.alert_probability).tolist():
-            probability = float(probabilities[index])
-            alert_set.add_many(
-                (request_ids[row] for row in order[starts[index] : starts[index + 1]]),
-                score=probability,
-                reasons=(f"decision tree bot probability {probability:.2f}",),
-            )
-        return alert_set
+        return session_alerts(
+            self.name,
+            frame,
+            sessions,
+            probabilities >= self.alert_probability,
+            probabilities,
+            lambda index: (f"decision tree bot probability {float(probabilities[index]):.2f}",),
+        )

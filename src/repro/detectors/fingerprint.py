@@ -102,49 +102,6 @@ class UserAgentFingerprintDetector(Detector):
                 verdicts[(agent_code, ip_code)] = verdict
         return verdicts
 
-    def scored_columns(
-        self,
-        frame: "RecordFrame",
-        verdicts: dict[tuple[int, int], tuple[float, str]] | None = None,
-    ) -> dict[str, tuple[float, tuple[str, ...]]]:
-        """Per-record ``{request_id: (score, reasons)}`` over a frame.
-
-        The columnar scoring core shared by :meth:`analyze_columns` and
-        the commercial composite (which merges layer dictionaries
-        directly instead of paying for intermediate alert objects).
-        ``verdicts`` lets a caller that already ran :meth:`pair_verdicts`
-        share the result instead of judging every pair again.
-        """
-        if verdicts is None:
-            verdicts = self.pair_verdicts(frame)
-        if not verdicts:
-            return {}
-        agent_codes = frame.codes["user_agent"]
-        ip_codes = frame.codes["client_ip"]
-        request_ids = frame.request_ids
-        # One boolean gather marks the suspicious records; alerts are
-        # then assembled in frame (= data set) order like the record path.
-        suspicious_agents = np.zeros(len(frame.tables["user_agent"]) + 1, dtype=bool)
-        for agent_code, _ in verdicts:
-            suspicious_agents[agent_code] = True
-        candidates = np.flatnonzero(suspicious_agents[agent_codes])
-        scored: dict[str, tuple[float, tuple[str, ...]]] = {}
-        get_verdict = verdicts.get
-        agent_list = agent_codes.tolist()
-        ip_list = ip_codes.tolist()
-        for row in candidates.tolist():
-            verdict = get_verdict((agent_list[row], ip_list[row]))
-            if verdict is None:
-                continue
-            score, reason = verdict
-            scored[request_ids[row]] = (score, (reason,))
-        return scored
-
-    def analyze_columns(
-        self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> AlertSet:
-        return AlertSet.from_scored(self.name, self.scored_columns(frame))
-
     # ------------------------------------------------------------------
     def verdict_alerts(
         self,

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.alerts import AlertSet
 from repro.detectors.base import SessionDetector
 from repro.logs.sessionization import Session, Sessionizer
 from repro.traffic.ipspace import IPPool, IPSpace
@@ -44,8 +43,8 @@ class Rule(abc.ABC):
 
         Returns one entry per session (the reason string, or ``None``
         when the rule does not fire), or ``None`` when the rule has no
-        vectorized implementation -- the detector then falls back to the
-        record path for the whole rule set.  Implementations must return
+        vectorized implementation -- the detector then runs the record
+        path for the whole rule set.  Implementations must return
         exactly what :meth:`matches` would per session.
         """
         return None
@@ -369,41 +368,15 @@ class HeuristicRuleDetector(SessionDetector):
             flags[index] = verified
         return flags
 
-    def analyze_columns(
-        self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> AlertSet | None:
-        per_rule: list[list[str | None]] = []
-        for rule in self.rules:
-            reasons = rule.matches_frame(frame, sessions, features)
-            if reasons is None:
-                # A custom rule without a vectorized implementation sends
-                # the whole detector down the record path.
-                return None
-            per_rule.append(reasons)
-        whitelisted = self.whitelisted_sessions(frame, sessions)
-        request_ids = frame.request_ids
-        order, starts = sessions.order, sessions.starts
-        scored: dict[str, tuple[float, tuple[str, ...]]] = {}
-        for index in range(len(sessions)):
-            if whitelisted[index]:
-                continue
-            reasons = [rule[index] for rule in per_rule if rule[index] is not None]
-            if not reasons:
-                continue
-            verdict = (min(1.0, 0.6 + 0.2 * (len(reasons) - 1)), tuple(reasons))
-            for row in order[starts[index] : starts[index + 1]].tolist():
-                scored[request_ids[row]] = verdict
-        return AlertSet.from_scored(self.name, scored)
-
     def alert_columns(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> "DetectorAlerts | None":
+    ) -> "DetectorAlerts":
         """Frame-native alert arrays: per-session rule verdicts, scattered.
 
-        Same per-session rule evaluation as :meth:`analyze_columns`
-        (including the whole-detector record fallback when a rule lacks a
-        vectorized implementation); the per-request expansion is a
-        vectorized session -> row scatter.
+        When any rule lacks a vectorized implementation the whole rule
+        set runs through the record bridge of
+        :meth:`~repro.detectors.base.Detector.alert_columns`; otherwise
+        the per-request expansion is a vectorized session -> row scatter.
         """
         from repro.columns.alertframe import DetectorAlerts, ReasonEncoder
 
@@ -411,7 +384,7 @@ class HeuristicRuleDetector(SessionDetector):
         for rule in self.rules:
             reasons = rule.matches_frame(frame, sessions, features)
             if reasons is None:
-                return None
+                return super().alert_columns(frame, sessions, features)
             per_rule.append(reasons)
         whitelisted = self.whitelisted_sessions(frame, sessions)
         n_sessions = len(sessions)

@@ -31,6 +31,7 @@ from repro.ml.naive_bayes import BernoulliNaiveBayes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columns import FeatureMatrix, FrameSessions, RecordFrame
+    from repro.columns.alertframe import DetectorAlerts
 
 #: Names of the binary indicators, in vector order.
 INDICATOR_NAMES: tuple[str, ...] = (
@@ -89,10 +90,6 @@ def binarize_matrix(features: "FeatureMatrix") -> np.ndarray:
 class NaiveBayesRobotDetector(Detector):
     """Self-trained Bernoulli naive-Bayes session classifier."""
 
-    #: The frame pipeline bridges the dict-path alert set into arrays;
-    #: model scoring has no array-native formulation worth maintaining.
-    frame_fallback = True
-
     def __init__(
         self,
         *,
@@ -146,12 +143,13 @@ class NaiveBayesRobotDetector(Detector):
         return alert_set
 
     # ------------------------------------------------------------------
-    def analyze_columns(
+    def alert_columns(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> AlertSet:
-        alert_set = AlertSet(self.name)
+    ) -> "DetectorAlerts":
+        from repro.columns.alertframe import DetectorAlerts, session_alerts
+
         if len(features) == 0:
-            return alert_set
+            return DetectorAlerts.empty(self.name, len(frame))
 
         indicator_matrix = binarize_matrix(features)
         indices, labels = pseudo_label_matrix(features, self.pseudo_label_config)
@@ -167,13 +165,11 @@ class NaiveBayesRobotDetector(Detector):
             bot_probability = np.zeros(len(features))
             bot_probability[indices[labels == 1]] = 1.0 if indices.size else 0.0
 
-        request_ids = frame.request_ids
-        order, starts = sessions.order, sessions.starts
-        for index in np.flatnonzero(bot_probability >= self.alert_probability).tolist():
-            probability = float(bot_probability[index])
-            alert_set.add_many(
-                (request_ids[row] for row in order[starts[index] : starts[index + 1]]),
-                score=probability,
-                reasons=(f"naive Bayes bot posterior {probability:.2f}",),
-            )
-        return alert_set
+        return session_alerts(
+            self.name,
+            frame,
+            sessions,
+            bot_probability >= self.alert_probability,
+            bot_probability,
+            lambda index: (f"naive Bayes bot posterior {float(bot_probability[index]):.2f}",),
+        )

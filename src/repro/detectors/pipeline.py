@@ -2,26 +2,25 @@
 
 The paper's setting is exactly this: multiple tools observing the same
 traffic.  :class:`DetectionPipeline` sessionizes the data once, runs each
-detector with the shared sessions and returns the per-detector alert sets
+detector with the shared sessions and returns the per-detector alerts
 together with the assembled :class:`~repro.core.alerts.AlertMatrix`.
 
-Two engines are available.  The default ``"columnar"`` engine converts
-the data set into a :class:`~repro.columns.RecordFrame`, sessionizes it
-with the vectorized group-by-visitor path and hands every detector the
-shared frame / session-span / feature-matrix triple via
-:meth:`~repro.detectors.base.Detector.analyze_columns`; detectors
-without a columnar implementation transparently fall back to the record
-path over sessions materialised once from the same spans.  The
-``"records"`` engine is the legacy object pipeline.  Both produce
-identical results -- the equivalence suite pins alert sets, scores and
-reasons against each other -- the columnar engine is simply several
-times faster.
+There is one execution path, :meth:`DetectionPipeline.run_frame`: the
+data arrive as a :class:`~repro.columns.RecordFrame`, the vectorized
+group-by-visitor path sessionizes it, the batched feature extraction
+builds the feature matrix, and every detector turns the shared
+frame / session-span / feature-matrix triple into per-row alert arrays
+via :meth:`~repro.detectors.base.Detector.alert_columns`.  With
+``workers > 1`` the same path runs per client-IP shard in forked worker
+processes.  :meth:`DetectionPipeline.run` is the
+:class:`~repro.logs.dataset.Dataset` entry point: it builds the frame and
+delegates.
 
-Both engines report the same logical telemetry through an optional
-:class:`~repro.obs.metrics.MetricsRegistry` (records ingested, sessions
-opened/closed, per-detector alerts) so the metrics-equivalence suite can
-hold them to identical counts, plus per-detector duration histograms and
-spans for the shared stages.
+The pipeline reports its logical events (records ingested, sessions
+opened/closed, per-detector alerts) through an optional
+:class:`~repro.obs.metrics.MetricsRegistry`, identically for single and
+sharded runs, plus per-detector duration histograms and spans for the
+shared stages.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import numpy as np
 
 from repro.core.alerts import AlertMatrix, AlertSet
 from repro.detectors.base import Detector
-from repro.exceptions import DetectorError
+from repro.exceptions import DetectorError, ShardWorkerError
 from repro.logs.dataset import Dataset
 from repro.logs.sessionization import Sessionizer
 from repro.obs import names as metric_names
@@ -42,16 +41,13 @@ from repro.obs.metrics import MetricsRegistry, resolve_registry
 from repro.obs.spans import trace_span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.columns import FrameSessions, RecordFrame
+    from repro.columns import RecordFrame
     from repro.columns.alertframe import AlertFrame, DetectorAlerts
-
-#: The batch execution engines of the pipeline.
-ENGINES = ("columnar", "records")
 
 
 @dataclass
 class PipelineResult:
-    """Everything produced by one pipeline run."""
+    """Everything produced by one :meth:`DetectionPipeline.run` over a data set."""
 
     dataset: Dataset
     alert_sets: list[AlertSet]
@@ -72,8 +68,9 @@ class FramePipelineResult:
 
     No :class:`~repro.logs.dataset.Dataset` and no per-alert objects:
     the alerts live as columnar arrays in ``alert_frame`` and the matrix
-    is stacked straight from them.  :meth:`alert_sets` bridges back to
-    the dict path on demand (the equivalence oracle).
+    is stacked straight from them.  :meth:`alert_sets` builds the
+    dict-path views on demand (for :meth:`DetectionPipeline.run` and the
+    comparisons with the record reference).
     """
 
     frame: "RecordFrame"
@@ -103,29 +100,37 @@ class DetectionPipeline:
             raise DetectorError(f"detector names must be unique, got {names}")
         self.detectors = list(detectors)
         self.sessionizer = sessionizer or Sessionizer()
+        # The vectorized group-by only reproduces the base Sessionizer;
+        # a subclass may override sessionize() itself.
+        if type(self.sessionizer) is not Sessionizer:
+            raise DetectorError(
+                "the detection pipeline requires the base Sessionizer, got "
+                f"{type(self.sessionizer).__name__}"
+            )
         self.registry = resolve_registry(registry)
 
-    def run(self, dataset: Dataset, *, engine: str = "columnar") -> PipelineResult:
-        """Run every detector and assemble the alert matrix.
+    def run(self, dataset: Dataset) -> PipelineResult:
+        """Run every detector over a data set and assemble the alert matrix.
 
-        ``timings`` holds one entry per detector plus the shared
-        ``"sessionization"`` step every detector's cost sits on top of
-        (for the columnar engine this covers frame building and the
-        vectorized group-by; the batched feature extraction is reported
-        separately as ``"features"``).
+        Builds the data set's :class:`~repro.columns.RecordFrame` and
+        delegates to :meth:`run_frame`; the alert sets are the dict-path
+        views of the frame run's alert arrays.  ``timings`` holds one
+        entry per detector plus the shared ``"sessionization"`` and
+        ``"features"`` steps.
         """
-        if engine not in ENGINES:
-            raise DetectorError(f"unknown pipeline engine {engine!r}; expected one of {ENGINES}")
-        # A Sessionizer subclass may override sessionize() itself; the
-        # vectorized group-by only reproduces the base behaviour, so
-        # custom sessionizers keep the record engine.
-        if engine == "columnar" and type(self.sessionizer) is Sessionizer:
-            return self._run_columnar(dataset)
-        return self._run_records(dataset)
+        from repro.columns import RecordFrame
+
+        result = self.run_frame(RecordFrame.from_dataset(dataset, registry=self.registry))
+        return PipelineResult(
+            dataset=dataset,
+            alert_sets=result.alert_sets(),
+            matrix=result.matrix,
+            timings=result.timings,
+        )
 
     # ------------------------------------------------------------------
     def _account_shared(self, record_count: int, session_count: int) -> None:
-        """The logical events every engine must count identically."""
+        """The logical events single and sharded runs must count identically."""
         registry = self.registry
         registry.counter(
             metric_names.RECORDS_INGESTED, "Records fed into a detection engine."
@@ -138,100 +143,24 @@ class DetectionPipeline:
             session_count
         )
 
-    def _account_detector(
-        self, detector_name: str, path: str, alert_count: int, elapsed: float
-    ) -> None:
+    def _account_detector(self, detector: Detector, alert_count: int, elapsed: float) -> None:
         registry = self.registry
+        # "bridge": the detector inherits the record bridge of
+        # Detector.alert_columns instead of implementing the arrays.
+        bridged = type(detector).alert_columns is Detector.alert_columns
         registry.counter(
             metric_names.DETECTOR_RUNS, "Batch detector executions by code path."
-        ).inc(detector=detector_name, path=path)
+        ).inc(detector=detector.name, path="bridge" if bridged else "columnar")
         registry.counter(
             metric_names.DETECTOR_ALERTS, "Requests alerted per detector."
-        ).inc(alert_count, detector=detector_name)
+        ).inc(alert_count, detector=detector.name)
+        registry.counter(
+            metric_names.FRAME_ALERT_ROWS, "Alerted rows in columnar alert frames."
+        ).inc(alert_count, detector=detector.name)
         registry.histogram(
             metric_names.DETECTOR_SECONDS, "Batch per-detector analysis duration."
-        ).observe(elapsed, detector=detector_name)
+        ).observe(elapsed, detector=detector.name)
 
-    def _account_matrix(self, alert_sets: Sequence[AlertSet]) -> None:
-        alerted = set()
-        for alert_set in alert_sets:
-            alerted |= alert_set.request_ids()
-        self._account_alerted(len(alerted))
-
-    def _account_alerted(self, alerted_count: int) -> None:
-        self.registry.counter(
-            metric_names.ALERTED_REQUESTS,
-            "Requests alerted by at least one detector (batch).",
-        ).inc(alerted_count)
-
-    # ------------------------------------------------------------------
-    def _run_records(self, dataset: Dataset) -> PipelineResult:
-        timings: dict[str, float] = {}
-        with trace_span("sessionize", self.registry, engine="records") as span:
-            started = time.perf_counter()
-            sessions = self.sessionizer.sessionize(dataset.records)
-            timings["sessionization"] = time.perf_counter() - started
-            span.set_attribute(records=len(dataset.records), sessions=len(sessions))
-        self._account_shared(len(dataset.records), len(sessions))
-        alert_sets: list[AlertSet] = []
-        with trace_span("detectors", self.registry, engine="records"):
-            for detector in self.detectors:
-                with trace_span("detector", self.registry, detector=detector.name):
-                    started = time.perf_counter()
-                    alerts = detector.analyze(dataset, sessions=sessions)
-                    elapsed = time.perf_counter() - started
-                alert_sets.append(alerts)
-                timings[detector.name] = elapsed
-                self._account_detector(detector.name, "records", len(alerts), elapsed)
-        matrix = AlertMatrix.from_alert_sets(dataset, alert_sets)
-        self._account_matrix(alert_sets)
-        return PipelineResult(dataset=dataset, alert_sets=alert_sets, matrix=matrix, timings=timings)
-
-    def _run_columnar(self, dataset: Dataset) -> PipelineResult:
-        from repro.columns import FeatureMatrix, RecordFrame, sessionize_frame
-
-        timings: dict[str, float] = {}
-        with trace_span("sessionize", self.registry, engine="columnar") as span:
-            started = time.perf_counter()
-            frame = RecordFrame.from_dataset(dataset, registry=self.registry)
-            sessions = sessionize_frame(
-                frame, timeout=self.sessionizer.timeout, registry=self.registry
-            )
-            timings["sessionization"] = time.perf_counter() - started
-            span.set_attribute(records=len(frame), sessions=len(sessions))
-        self._account_shared(len(dataset.records), len(sessions))
-
-        with trace_span("features", self.registry):
-            started = time.perf_counter()
-            features = FeatureMatrix.from_frame(frame, sessions, registry=self.registry)
-            timings["features"] = time.perf_counter() - started
-
-        legacy_sessions = None
-        alert_sets: list[AlertSet] = []
-        with trace_span("detectors", self.registry, engine="columnar"):
-            for detector in self.detectors:
-                with trace_span("detector", self.registry, detector=detector.name):
-                    started = time.perf_counter()
-                    alerts = detector.analyze_columns(frame, sessions, features)
-                    path = "columnar"
-                    if alerts is None:
-                        # Compatibility fallback: materialise Session objects once
-                        # (from the already-computed spans) for detectors that
-                        # only implement the record path.
-                        if legacy_sessions is None:
-                            legacy_sessions = sessions.to_sessions(dataset.records)
-                        alerts = detector.analyze(dataset, sessions=legacy_sessions)
-                        path = "fallback"
-                    elapsed = time.perf_counter() - started
-                alert_sets.append(alerts)
-                timings[detector.name] = elapsed
-                self._account_detector(detector.name, path, len(alerts), elapsed)
-        matrix = AlertMatrix.from_alert_sets(dataset, alert_sets)
-        self._account_matrix(alert_sets)
-        return PipelineResult(dataset=dataset, alert_sets=alert_sets, matrix=matrix, timings=timings)
-
-    # ------------------------------------------------------------------
-    # Frame-native execution (no Dataset, no per-alert objects)
     # ------------------------------------------------------------------
     def run_frame(self, frame: "RecordFrame", *, workers: int = 1) -> "FramePipelineResult":
         """Run every detector over a frame into columnar alert arrays.
@@ -239,20 +168,17 @@ class DetectionPipeline:
         The frame may come straight from
         :meth:`~repro.trace.store.TraceReader.read_frame` -- no
         :class:`Dataset` is ever materialised unless a detector without
-        any columnar implementation forces the record fallback.  With
+        an array implementation takes the record bridge of
+        :meth:`~repro.detectors.base.Detector.alert_columns`.  With
         ``workers > 1`` (and every detector declaring
         ``frame_shardable``) the frame is hash-sharded by client IP
         across forked worker processes, mirroring the stream runner's
         visitor sharding, and the per-shard alert arrays are scattered
-        back into frame-global arrays at join.
+        back into frame-global arrays at join.  A worker that dies
+        raises :class:`~repro.exceptions.ShardWorkerError`.
         """
         from repro.columns.alertframe import AlertFrame
 
-        if type(self.sessionizer) is not Sessionizer:
-            raise DetectorError(
-                "the frame-native pipeline requires the base Sessionizer; "
-                "custom sessionizers must use run(dataset, engine='records')"
-            )
         if workers < 1:
             raise DetectorError("workers must be at least 1")
         shardable = all(detector.frame_shardable for detector in self.detectors)
@@ -265,12 +191,10 @@ class DetectionPipeline:
         self._account_shared(len(frame), session_count)
         alert_frame = AlertFrame(frame, detector_alerts)
         matrix = AlertMatrix.from_alert_frame(alert_frame)
-        union = (
-            np.logical_or.reduce([alerts.flags for alerts in detector_alerts])
-            if detector_alerts
-            else np.zeros(len(frame), dtype=bool)
-        )
-        self._account_alerted(int(np.count_nonzero(union)))
+        self.registry.counter(
+            metric_names.ALERTED_REQUESTS,
+            "Requests alerted by at least one detector (batch).",
+        ).inc(int(np.count_nonzero(matrix.values.any(axis=1))))
         return FramePipelineResult(
             frame=frame, alert_frame=alert_frame, matrix=matrix, timings=timings
         )
@@ -281,7 +205,7 @@ class DetectionPipeline:
         from repro.columns import FeatureMatrix, sessionize_frame
 
         timings: dict[str, float] = {}
-        with trace_span("sessionize", self.registry, engine="columnar") as span:
+        with trace_span("sessionize", self.registry) as span:
             started = time.perf_counter()
             sessions = sessionize_frame(
                 frame, timeout=self.sessionizer.timeout, registry=self.registry
@@ -294,23 +218,15 @@ class DetectionPipeline:
             timings["features"] = time.perf_counter() - started
 
         detector_alerts: list["DetectorAlerts"] = []
-        materialised: dict[str, object] = {}
-        with trace_span("detectors", self.registry, engine="columnar"):
+        with trace_span("detectors", self.registry):
             for detector in self.detectors:
                 with trace_span("detector", self.registry, detector=detector.name):
                     started = time.perf_counter()
-                    alerts, path = _frame_alerts_of(
-                        detector, frame, sessions, features, materialised
-                    )
+                    alerts = detector.alert_columns(frame, sessions, features)
                     elapsed = time.perf_counter() - started
                 detector_alerts.append(alerts)
                 timings[detector.name] = elapsed
-                count = alerts.alert_count()
-                self._account_detector(detector.name, path, count, elapsed)
-                self.registry.counter(
-                    metric_names.FRAME_ALERT_ROWS,
-                    "Alerted rows in columnar alert frames.",
-                ).inc(count, detector=detector.name)
+                self._account_detector(detector, alerts.alert_count(), elapsed)
         return detector_alerts, len(sessions), timings
 
     def _run_frame_sharded(
@@ -346,16 +262,7 @@ class DetectionPipeline:
                 self.sessionizer.timeout,
             )
             try:
-                try:
-                    import multiprocessing
-
-                    context = multiprocessing.get_context("fork")
-                    with context.Pool(processes=workers) as pool:
-                        shard_results = pool.map(_run_frame_shard, range(workers))
-                except (ValueError, ImportError, OSError):
-                    # No fork on this platform: degrade to in-process
-                    # shard execution (same arrays, same merge).
-                    shard_results = [_run_frame_shard(index) for index in range(workers)]
+                shard_results = _map_shards(workers)
             finally:
                 _FRAME_SHARD_STATE = None
             timings["shards"] = time.perf_counter() - started
@@ -380,27 +287,17 @@ class DetectionPipeline:
                 alerts = DetectorAlerts.empty(detector.name, len(frame))
                 encoder = ReasonEncoder()
                 elapsed = 0.0
-                path = "columnar"
                 for shard_index, (_, per_detector) in enumerate(shard_results):
-                    flags, scores, codes, table, shard_path, shard_elapsed = per_detector[
-                        position
-                    ]
+                    flags, scores, codes, table, shard_elapsed = per_detector[position]
                     alerts.scatter(
                         shard_rows[shard_index],
                         DetectorAlerts(detector.name, flags, scores, codes, table),
                         encoder,
                     )
                     elapsed += shard_elapsed
-                    if shard_path == "fallback":
-                        path = "fallback"
                 merged.append(alerts)
                 timings[detector.name] = elapsed
-                count = alerts.alert_count()
-                self._account_detector(detector.name, path, count, elapsed)
-                self.registry.counter(
-                    metric_names.FRAME_ALERT_ROWS,
-                    "Alerted rows in columnar alert frames.",
-                ).inc(count, detector=detector.name)
+                self._account_detector(detector, alerts.alert_count(), elapsed)
             timings["merge"] = time.perf_counter() - started
             span.set_attribute(detectors=len(merged))
         return merged, session_count, timings
@@ -410,6 +307,32 @@ class DetectionPipeline:
 #: forked shard workers through copy-on-write memory -- set immediately
 #: before the fork, cleared at join (the stream runner's pattern).
 _FRAME_SHARD_STATE: tuple | None = None
+
+
+def _map_shards(workers: int) -> list:
+    """Run :func:`_run_frame_shard` for every shard, one forked worker each.
+
+    Without fork on this platform the shards run in-process instead
+    (same arrays, same merge).  A worker that dies before returning its
+    shard raises :class:`~repro.exceptions.ShardWorkerError`.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:
+        return [_run_frame_shard(index) for index in range(workers)]
+    try:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            return list(pool.map(_run_frame_shard, range(workers)))
+    except BrokenProcessPool as error:
+        raise ShardWorkerError(
+            f"a worker process of the {workers}-worker sharded batch run died "
+            "before returning its shard",
+            workers,
+        ) from error
 
 
 def _run_frame_shard(index: int):
@@ -422,62 +345,29 @@ def _run_frame_shard(index: int):
     rows = shard_rows[index]
     if not len(rows):
         empty = [
-            (alerts.flags, alerts.scores, alerts.reason_codes, alerts.reason_table, "columnar", 0.0)
+            (alerts.flags, alerts.scores, alerts.reason_codes, alerts.reason_table, 0.0)
             for alerts in (DetectorAlerts.empty(d.name, 0) for d in detectors)
         ]
         return 0, empty
     sub = frame.take(rows)
     sessions = sessionize_frame(sub, timeout=timeout)
     features = FeatureMatrix.from_frame(sub, sessions)
-    materialised: dict[str, object] = {}
     out = []
     for detector in detectors:
         started = time.perf_counter()
-        alerts, path = _frame_alerts_of(detector, sub, sessions, features, materialised)
+        alerts = detector.alert_columns(sub, sessions, features)
         elapsed = time.perf_counter() - started
         out.append(
-            (alerts.flags, alerts.scores, alerts.reason_codes, alerts.reason_table, path, elapsed)
+            (alerts.flags, alerts.scores, alerts.reason_codes, alerts.reason_table, elapsed)
         )
     return len(sessions), out
-
-
-def _frame_alerts_of(
-    detector: Detector,
-    frame: "RecordFrame",
-    sessions: "FrameSessions",
-    features,
-    materialised: dict,
-) -> tuple["DetectorAlerts", str]:
-    """One detector's columnar alerts, via the three-step fallback chain.
-
-    ``alert_columns`` (native arrays) -> ``analyze_columns`` (dict-path
-    alert set, bridged into arrays) -> ``analyze`` over records
-    materialised from the frame exactly once (shared via
-    ``materialised`` across detectors).
-    """
-    from repro.columns.alertframe import DetectorAlerts
-
-    alerts = detector.alert_columns(frame, sessions, features)
-    if alerts is not None:
-        return alerts, "columnar"
-    alert_set = detector.analyze_columns(frame, sessions, features)
-    if alert_set is not None:
-        return DetectorAlerts.from_alert_set(frame, alert_set), "columnar"
-    dataset = materialised.get("dataset")
-    if dataset is None:
-        dataset = frame.to_dataset()
-        materialised["dataset"] = dataset
-        materialised["sessions"] = sessions.to_sessions(dataset.records)
-    alert_set = detector.analyze(dataset, sessions=materialised["sessions"])
-    return DetectorAlerts.from_alert_set(frame, alert_set), "fallback"
 
 
 def run_detectors(
     dataset: Dataset,
     detectors: Sequence[Detector],
     *,
-    engine: str = "columnar",
     registry: MetricsRegistry | None = None,
 ) -> PipelineResult:
     """Convenience wrapper: ``DetectionPipeline(detectors).run(dataset)``."""
-    return DetectionPipeline(detectors, registry=registry).run(dataset, engine=engine)
+    return DetectionPipeline(detectors, registry=registry).run(dataset)

@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.alerts import AlertSet
 from repro.detectors.base import SessionDetector
 from repro.logs.sessionization import Session, Sessionizer
 
@@ -63,40 +62,11 @@ class RateLimitDetector(SessionDetector):
         return score, (f"rate {rate:.0f} req/min exceeds {self.threshold_rpm:.0f}",)
 
     # ------------------------------------------------------------------
-    def scored_columns(
-        self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> dict[str, tuple[float, tuple[str, ...]]]:
-        """Per-record ``{request_id: (score, reasons)}`` over a frame."""
-        rates = features.column("requests_per_minute")
-        if self.use_peak_rate:
-            rates = np.maximum(rates, features.peak_rpm())
-        eligible = (features.counts >= self.min_requests) & (rates > self.threshold_rpm)
-        scores = np.minimum(
-            1.0, 0.5 + 0.5 * (rates - self.threshold_rpm) / self.threshold_rpm
-        )
-        request_ids = frame.request_ids
-        order, starts = sessions.order, sessions.starts
-        scored: dict[str, tuple[float, tuple[str, ...]]] = {}
-        for index in np.flatnonzero(eligible).tolist():
-            rate = float(rates[index])
-            verdict = (
-                float(scores[index]),
-                (f"rate {rate:.0f} req/min exceeds {self.threshold_rpm:.0f}",),
-            )
-            for row in order[starts[index] : starts[index + 1]].tolist():
-                scored[request_ids[row]] = verdict
-        return scored
-
-    def analyze_columns(
-        self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> AlertSet:
-        return AlertSet.from_scored(self.name, self.scored_columns(frame, sessions, features))
-
     def alert_columns(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
     ) -> "DetectorAlerts":
         """Frame-native alert arrays: per-session verdicts scattered to rows."""
-        from repro.columns.alertframe import DetectorAlerts, ReasonEncoder
+        from repro.columns.alertframe import session_alerts
 
         rates = features.column("requests_per_minute")
         if self.use_peak_rate:
@@ -105,19 +75,13 @@ class RateLimitDetector(SessionDetector):
         scores = np.minimum(
             1.0, 0.5 + 0.5 * (rates - self.threshold_rpm) / self.threshold_rpm
         )
-        session_codes = np.full(len(features), -1, dtype=np.int64)
-        encoder = ReasonEncoder()
-        for index in np.flatnonzero(eligible).tolist():
-            rate = float(rates[index])
-            session_codes[index] = encoder.code(
-                (f"rate {rate:.0f} req/min exceeds {self.threshold_rpm:.0f}",)
-            )
-        return DetectorAlerts.from_sessions(
+        return session_alerts(
             self.name,
             frame,
             sessions,
             eligible,
-            np.where(eligible, scores, 0.0),
-            session_codes,
-            encoder.table,
+            scores,
+            lambda index: (
+                f"rate {float(rates[index]):.0f} req/min exceeds {self.threshold_rpm:.0f}",
+            ),
         )

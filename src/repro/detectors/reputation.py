@@ -71,43 +71,6 @@ class IPReputationDetector(Detector):
             alert_set.add(record.request_id, score=0.8, reasons=(f"IP prefix {prefix}.0/24 on reputation blocklist",))
         return alert_set
 
-    def scored_columns(self, frame: "RecordFrame") -> dict[str, tuple[float, tuple[str, ...]]]:
-        """Per-record ``{request_id: (score, reasons)}`` over a frame."""
-        ips = frame.tables["client_ip"]
-        prefixes = [prefix24(ip) for ip in ips]
-        blocklisted = np.fromiter(
-            (prefix in self.blocklist for prefix in prefixes), bool, len(ips)
-        )
-        ip_codes = frame.codes["client_ip"]
-        flagged = blocklisted[ip_codes] if len(ips) else np.zeros(len(frame), dtype=bool)
-        if self.min_requests_from_prefix > 1 and len(ips):
-            # Request counts per distinct /24 prefix (the prefix table is
-            # a second dictionary over the IP table).
-            from repro.columns.frame import encode_column
-
-            prefix_codes, prefix_table = encode_column(prefixes)
-            per_prefix = np.bincount(
-                prefix_codes[ip_codes].astype(np.intp), minlength=len(prefix_table)
-            )
-            flagged &= per_prefix[prefix_codes[ip_codes]] >= self.min_requests_from_prefix
-        request_ids = frame.request_ids
-        # One reason string per blocklisted prefix, shared by its records.
-        reason_for = {
-            prefix: (f"IP prefix {prefix}.0/24 on reputation blocklist",)
-            for prefix, hit in zip(prefixes, blocklisted.tolist())
-            if hit
-        }
-        ip_list = ip_codes.tolist()
-        return {
-            request_ids[row]: (0.8, reason_for[prefixes[ip_list[row]]])
-            for row in np.flatnonzero(flagged).tolist()
-        }
-
-    def analyze_columns(
-        self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"
-    ) -> AlertSet:
-        return AlertSet.from_scored(self.name, self.scored_columns(frame))
-
     # ------------------------------------------------------------------
     def alert_columns(
         self, frame: "RecordFrame", sessions: "FrameSessions", features: "FeatureMatrix"

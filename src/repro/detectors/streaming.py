@@ -83,10 +83,6 @@ class StreamingDetector(Detector):
     same diversity/adjudication analyses as the offline tools.
     """
 
-    #: The replay is a stateful, time-ordered stream; there is no
-    #: columnar formulation, so the record path is the specification.
-    columnar_fallback = True
-
     def __init__(
         self,
         limiter: OnlineDetector | None = None,

@@ -55,6 +55,23 @@ class DetectorNotFittedError(DetectorError):
     """Raised when a detector that requires fitting is used before ``fit``."""
 
 
+class ShardWorkerError(DetectorError):
+    """Raised when a worker process of a sharded batch run dies.
+
+    The worker exited (killed, crashed, out of memory) before returning
+    its shard, so the run cannot be completed.
+
+    Attributes
+    ----------
+    workers:
+        The number of worker processes the run was sharded across.
+    """
+
+    def __init__(self, message: str, workers: int) -> None:
+        super().__init__(message)
+        self.workers = workers
+
+
 class AdjudicationError(ReproError):
     """Raised for invalid adjudication-scheme configurations."""
 

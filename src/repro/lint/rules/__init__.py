@@ -8,8 +8,6 @@ REP001    seeded determinism in engine paths (no wall clock, no
           global ``random`` state)
 REP002    metric-name discipline: instrumentation sites and the
           ``METRIC_REFERENCE`` catalogue match, both directions
-REP003    engine parity: batch detectors implement the columnar
-          path or declare the record-path fallback explicitly
 REP004    registry discipline: component families are extended
           through ``register_*`` helpers, never registry internals
 REP005    spec round-trip parity: ``to_dict``/``from_dict`` cover
@@ -34,7 +32,6 @@ import the module.  Fixture-backed firing tests live in
 from repro.lint.rules import (  # noqa: F401  (imported for registration)
     cli_drift,
     determinism,
-    engine_parity,
     exception_hygiene,
     lock_guard,
     metric_names,

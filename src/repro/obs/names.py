@@ -28,8 +28,8 @@ SESSIONS_OPENED = "repro_sessions_opened_total"
 SESSIONS_CLOSED = "repro_sessions_closed_total"
 DETECTOR_ALERTS = "repro_detector_alerts_total"
 
-#: The logical counters the batch (columnar *and* record) engines must
-#: agree on request for request -- asserted by the equivalence suite.
+#: The logical counters single-process and sharded batch runs must agree
+#: on request for request -- asserted by the equivalence suite.
 ENGINE_EQUIVALENT_COUNTERS = (
     RECORDS_INGESTED,
     SESSIONS_OPENED,

@@ -166,10 +166,6 @@ def _validate_for_mode(spec: RunSpec) -> None:
         reject(execution.max_skew_seconds != 0.0, "replays in order; max_skew_seconds is stream-only")
         reject(execution.track_latency, "has no per-request latency; track_latency is stream-only")
         reject(execution.progress_every != 0, "emits no live progress; progress_every is stream-only")
-        reject(
-            execution.workers != 1 and execution.engine != "columnar",
-            "shards frames across workers only with execution.engine 'columnar'",
-        )
     else:
         reject(
             execution.workers != 1,
@@ -179,11 +175,6 @@ def _validate_for_mode(spec: RunSpec) -> None:
         reject(
             execution.compare_configurations,
             "has no configuration comparison; compare_configurations is evaluate-only",
-        )
-    if spec.mode in ("stream", "defend"):
-        reject(
-            execution.engine != "columnar",
-            "processes records one at a time; execution.engine is batch-only",
         )
     if spec.mode == "defend":
         reject(execution.shards != 1, "runs a single closed loop; shards are stream-only")
@@ -326,14 +317,12 @@ def _paper_experiment(
 ) -> tuple[Dataset | None, ExperimentResult]:
     """Run the pairwise paper experiment a batch spec describes.
 
-    The ``"columnar"`` engine runs frame-natively: the traffic becomes a
+    The run is frame-native: the traffic becomes a
     :class:`~repro.columns.RecordFrame` (for trace-backed specs straight
     from :meth:`~repro.trace.store.TraceReader.read_frame`, so no
     :class:`Dataset` is ever materialised and the returned dataset is
     ``None``) and detection *and* table analysis run as columnar kernels,
-    sharded across ``execution.workers`` processes when asked.  The
-    ``"records"`` engine keeps the legacy object path; both produce
-    identical results.
+    sharded across ``execution.workers`` processes when asked.
     """
     registry = resolve_registry(registry)
     if spec.detectors and len(spec.detectors) != 2:
@@ -341,21 +330,17 @@ def _paper_experiment(
             f"the paper experiment is pairwise: {spec.mode!r} mode needs exactly "
             f"two detectors, got {len(spec.detectors)}"
         )
-    frame = None
-    if spec.execution.engine == "columnar":
-        if dataset is None and spec.traffic.resolved_source() == "trace":
-            path = spec.traffic.path
-            assert path is not None  # TrafficSpec validates this
-            with trace_span("dataset", registry=registry, source="trace"):
-                frame = TraceReader(path).read_frame()
-        else:
-            if dataset is None:
-                dataset = build_dataset(spec.traffic, registry=registry)
-            from repro.columns import RecordFrame
+    if dataset is None and spec.traffic.resolved_source() == "trace":
+        path = spec.traffic.path
+        assert path is not None  # TrafficSpec validates this
+        with trace_span("dataset", registry=registry, source="trace"):
+            frame = TraceReader(path).read_frame()
+    else:
+        if dataset is None:
+            dataset = build_dataset(spec.traffic, registry=registry)
+        from repro.columns import RecordFrame
 
-            frame = RecordFrame.from_dataset(dataset, registry=registry)
-    elif dataset is None:
-        dataset = build_dataset(spec.traffic, registry=registry)
+        frame = RecordFrame.from_dataset(dataset, registry=registry)
     if spec.detectors:
         first, second = (
             create_detector(detector.name, **detector.params) for detector in spec.detectors
@@ -363,16 +348,13 @@ def _paper_experiment(
         experiment = PaperExperiment(first, second)
     else:
         experiment = PaperExperiment()
-    with trace_span("experiment", registry=registry, engine=spec.execution.engine):
-        if frame is not None:
-            result = experiment.run_on_frame(
-                frame,
-                workers=spec.execution.workers,
-                registry=registry,
-                dataset=dataset,
-            )
-        else:
-            result = experiment.run_on(dataset, engine=spec.execution.engine, registry=registry)
+    with trace_span("experiment", registry=registry):
+        result = experiment.run_on_frame(
+            frame,
+            workers=spec.execution.workers,
+            registry=registry,
+            dataset=dataset,
+        )
     return dataset, result
 
 

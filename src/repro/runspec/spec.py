@@ -38,7 +38,6 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Self
 
-from repro.detectors.pipeline import ENGINES
 from repro.exceptions import SpecError
 from repro.registry import unknown_name_message
 
@@ -50,10 +49,6 @@ CAMPAIGNS = ("scripted", "adaptive")
 
 #: Sharded-execution backends (``stream`` mode with ``shards > 1``).
 BACKENDS = ("serial", "thread", "process")
-
-# Batch pipeline engines (``tables`` / ``evaluate`` modes) are imported
-# from repro.detectors.pipeline above: the pipeline that implements them
-# is their single source of truth.
 
 #: Vote-combination modes of the windowed adjudicator.
 ADJUDICATION_MODES = ("parallel", "serial-confirm", "serial-escalate")
@@ -257,11 +252,7 @@ class ExecutionSpec(_SpecBase):
     progress_every: int = 0
     #: Also compare parallel vs serial deployments (``evaluate`` mode).
     compare_configurations: bool = False
-    #: Batch pipeline engine (``tables`` / ``evaluate`` modes):
-    #: ``"columnar"`` (vectorized, default) or ``"records"`` (legacy
-    #: record-object path).  Both produce identical results.
-    engine: str = "columnar"
-    #: Multi-process frame sharding of the columnar batch pipeline
+    #: Multi-process frame sharding of the batch pipeline
     #: (``tables`` / ``evaluate`` modes): the record frame is
     #: hash-sharded by client IP across this many worker processes.
     #: 1 (default) runs single-process; the results are identical.
@@ -273,7 +264,6 @@ class ExecutionSpec(_SpecBase):
         if self.workers < 1:
             raise SpecError("workers must be at least 1")
         _check_choice("backend", self.backend, BACKENDS)
-        _check_choice("engine", self.engine, ENGINES)
         if self.max_skew_seconds < 0:
             raise SpecError("max_skew_seconds must be non-negative")
         if self.progress_every < 0:

@@ -1,116 +1,86 @@
-"""The columnar and record batch paths are interchangeable -- exactly.
+"""The batch pipeline equals the record-path reference -- exactly.
 
-For every preset scenario (seeded), the ``columnar`` and ``records``
-engines must produce byte-identical alert sets (ids, scores *and*
-reasons), identical Tables 1-4 and identical labelled-evaluation
-metrics.  This is what lets ``execute()`` route batch modes through the
-columnar substrate by default without changing a single published
-number.
+For every preset scenario (seeded), the batch pipeline entered with a
+:class:`~repro.logs.dataset.Dataset` (``DetectionPipeline.run``,
+``PaperExperiment.run_on``, ``execute`` in ``tables`` and ``evaluate``
+mode) must produce the alert sets (ids, scores *and* reasons), Tables
+1-4 and labelled-evaluation metrics of
+:func:`repro.bench.reference.reference_run`, which computes them from
+each detector's record ``analyze`` and the dict-path :mod:`repro.core`
+functions.  ``test_frame_equivalence.py`` holds the frame entry points,
+the sharded run and the trace-sourced run to the same reference.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.core.experiment import PaperExperiment
 from repro.detectors.commercial import CommercialBotDefenceDetector
 from repro.detectors.inhouse import InHouseHeuristicDetector
 from repro.detectors.pipeline import DetectionPipeline
-from repro.runspec import RunSpec, TrafficSpec, execute
-from repro.runspec.spec import ExecutionSpec
-from repro.traffic.generator import generate_dataset
-from repro.traffic.scenarios import get_scenario
-
-#: Every preset scenario, scaled to keep the suite fast (the paper
-#: scenario at scale 0.02, the fixed-size presets at a few thousand
-#: requests) and seeded for reproducibility.
-PRESETS = [
-    ("amadeus_march_2018", {"scale": 0.02, "seed": 2018}),
-    ("balanced_small", {"total_requests": 5_000, "seed": 7}),
-    ("stealth_heavy", {"total_requests": 5_000, "seed": 23}),
-]
-
-
-@pytest.fixture(scope="module", params=PRESETS, ids=[name for name, _ in PRESETS])
-def preset(request):
-    name, params = request.param
-    dataset = generate_dataset(get_scenario(name, **params))
-    return name, params, dataset
+from repro.runspec import RunSpec, execute
 
 
 def _full_alerts(alert_set):
     return {alert.request_id: (alert.score, alert.reasons) for alert in alert_set.alerts()}
 
 
-def _comparable(result):
-    """A RunResult's reproducible face.
-
-    Timings are wall-clock and the echoed spec necessarily differs in
-    its ``engine`` field; everything else must match exactly.
-    """
-    payload = result.to_dict()
-    payload.pop("timings", None)
-    payload.pop("telemetry", None)
-    payload.pop("spec", None)
-    return payload
+def _evaluation_rows(evaluations):
+    return [evaluation.as_dict() for evaluation in evaluations]
 
 
 class TestEngineEquivalence:
     def test_alert_sets_byte_identical(self, preset):
-        _name, _params, dataset = preset
-        detectors = lambda: [CommercialBotDefenceDetector(), InHouseHeuristicDetector()]  # noqa: E731
-        by_records = DetectionPipeline(detectors()).run(dataset, engine="records")
-        by_columns = DetectionPipeline(detectors()).run(dataset, engine="columnar")
-        for record_alerts, column_alerts in zip(by_records.alert_sets, by_columns.alert_sets):
-            assert record_alerts.detector_name == column_alerts.detector_name
-            assert _full_alerts(record_alerts) == _full_alerts(column_alerts)
+        dataset, _frame, _trace, reference = preset
+        result = DetectionPipeline(
+            [CommercialBotDefenceDetector(), InHouseHeuristicDetector()]
+        ).run(dataset)
+        assert result.matrix.request_ids == reference.experiment.matrix.request_ids
+        assert (result.matrix.values == reference.experiment.matrix.values).all()
+        for by_record, by_batch in zip(reference.alert_sets, result.alert_sets, strict=True):
+            assert by_record.detector_name == by_batch.detector_name
+            assert _full_alerts(by_record) == _full_alerts(by_batch)
 
     def test_tables_mode_identical(self, preset):
-        name, params, dataset = preset
-        traffic = TrafficSpec(
-            scenario=name,
-            scale=params.get("scale"),
-            seed=params.get("seed"),
-            params={k: v for k, v in params.items() if k not in ("scale", "seed")},
-        )
-        results = {
-            engine: execute(
-                RunSpec(mode="tables", traffic=traffic, execution=ExecutionSpec(engine=engine)),
-                dataset=dataset,
-            )
-            for engine in ("records", "columnar")
+        dataset, _frame, _trace, reference = preset
+        oracle = reference.experiment
+        result = execute(RunSpec(mode="tables"), dataset=dataset)
+        assert result.alert_counts == dict(oracle.alert_counts)
+        assert result.tables == {
+            "table1": oracle.render_table1(),
+            "table2": oracle.render_table2(),
+            "table3": oracle.render_table3(),
+            "table4": oracle.render_table4(),
         }
-        assert _comparable(results["records"]) == _comparable(results["columnar"])
-        assert results["records"].tables == results["columnar"].tables
+        assert result.metrics == {
+            "both": oracle.breakdown.both,
+            "neither": oracle.breakdown.neither,
+            "first_only": oracle.breakdown.first_only,
+            "second_only": oracle.breakdown.second_only,
+            **oracle.diversity_metrics.as_dict(),
+        }
 
     def test_evaluate_mode_identical(self, preset):
-        name, params, dataset = preset
-        traffic = TrafficSpec(
-            scenario=name,
-            scale=params.get("scale"),
-            seed=params.get("seed"),
-            params={k: v for k, v in params.items() if k not in ("scale", "seed")},
+        dataset, _frame, _trace, reference = preset
+        oracle = reference.experiment
+        result = execute(RunSpec(mode="evaluate"), dataset=dataset)
+        assert result.alert_counts == dict(oracle.alert_counts)
+        assert result.rows["tool_evaluation"] == _evaluation_rows(oracle.tool_evaluations)
+        assert result.rows["adjudication_evaluation"] == _evaluation_rows(
+            oracle.adjudication_evaluations
         )
-        results = {
-            engine: execute(
-                RunSpec(mode="evaluate", traffic=traffic, execution=ExecutionSpec(engine=engine)),
-                dataset=dataset,
-            )
-            for engine in ("records", "columnar")
-        }
-        assert _comparable(results["records"]) == _comparable(results["columnar"])
-        assert results["records"].rows == results["columnar"].rows
 
     def test_experiment_object_equivalence(self, preset):
-        _name, _params, dataset = preset
-        by_records = PaperExperiment().run_on(dataset, engine="records")
-        by_columns = PaperExperiment().run_on(dataset, engine="columnar")
-        assert by_records.render_all() == by_columns.render_all()
-        assert dict(by_records.alert_counts) == dict(by_columns.alert_counts)
-        assert (by_records.matrix.values == by_columns.matrix.values).all()
-        assert [e.as_dict() for e in by_records.tool_evaluations] == [
-            e.as_dict() for e in by_columns.tool_evaluations
-        ]
-        assert [e.as_dict() for e in by_records.adjudication_evaluations] == [
-            e.as_dict() for e in by_columns.adjudication_evaluations
-        ]
+        dataset, _frame, _trace, reference = preset
+        oracle = reference.experiment
+        result = PaperExperiment().run_on(dataset)
+        assert result.dataset is dataset
+        assert result.render_all() == oracle.render_all()
+        assert dict(result.alert_counts) == dict(oracle.alert_counts)
+        assert (result.matrix.values == oracle.matrix.values).all()
+        assert result.diversity_metrics.as_dict() == oracle.diversity_metrics.as_dict()
+        assert _evaluation_rows(result.tool_evaluations) == _evaluation_rows(
+            oracle.tool_evaluations
+        )
+        assert _evaluation_rows(result.adjudication_evaluations) == _evaluation_rows(
+            oracle.adjudication_evaluations
+        )

@@ -5,6 +5,7 @@ from __future__ import annotations
 from datetime import timedelta
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,7 +49,7 @@ class TestScenarioEquivalence:
         frame = RecordFrame.from_records([])
         spans = sessionize_frame(frame)
         assert len(spans) == 0
-        assert spans.request_id_groups() == []
+        assert spans.to_sessions() == []
 
     def test_single_record(self):
         assert_equivalent([make_record("only")])
@@ -84,44 +85,19 @@ def test_hypothesis_adversarial_ties_and_timeouts(data, timeout_minutes):
 class _OneBigSession(Sessionizer):
     """A custom sessionizer: everything is one session, whoever sent it."""
 
-    def sessionize(self, records):
-        from repro.logs.sessionization import Session
-
-        ordered = sorted(records, key=lambda record: record.timestamp)
-        if not ordered:
-            return []
-        session = Session(
-            session_id="all",
-            client_ip=ordered[0].client_ip,
-            user_agent=ordered[0].user_agent,
-        )
-        session.records = ordered
-        return [session]
+    def sessionize(self, records):  # pragma: no cover - never called
+        return []
 
 
-def test_custom_sessionizer_subclass_keeps_its_behaviour():
-    # The columnar engine only reproduces the base Sessionizer; a
-    # pipeline built around a subclass must keep using its sessionize().
+def test_custom_sessionizer_subclass_is_rejected():
+    # The vectorized sessionization only reproduces the base Sessionizer,
+    # so a pipeline refuses a subclass up front instead of ignoring it.
     from repro.detectors.pipeline import DetectionPipeline
     from repro.detectors.ratelimit import RateLimitDetector
-    from repro.logs.dataset import Dataset
+    from repro.exceptions import DetectorError
 
-    records = [
-        make_record(f"r{index}", seconds=index * 0.2, ip=f"10.0.0.{index % 3}")
-        for index in range(30)
-    ]
-    dataset = Dataset(records)
-    detector = RateLimitDetector(threshold_rpm=60, min_requests=10)
-    pipeline = DetectionPipeline([detector], sessionizer=_OneBigSession())
-    default_run = pipeline.run(dataset)
-    explicit = pipeline.run(dataset, engine="records")
-    # One 30-request burst at 5 req/s trips the limiter; per-visitor
-    # sessions of 10 requests would not have enough volume.
-    assert default_run.alert_set("rate-limit").request_ids() == set(dataset.request_ids)
-    assert (
-        default_run.alert_set("rate-limit").request_ids()
-        == explicit.alert_set("rate-limit").request_ids()
-    )
+    with pytest.raises(DetectorError, match="_OneBigSession"):
+        DetectionPipeline([RateLimitDetector()], sessionizer=_OneBigSession())
 
 
 @settings(max_examples=40, deadline=None)

@@ -105,8 +105,8 @@ class TestPaperExperiment:
         assert full.count("Table") >= 2
 
     def test_timings_recorded_per_tool_and_sessionization(self, experiment_result):
-        # The columnar engine reports the batched feature extraction as
-        # its own shared step next to sessionization.
+        # The batched feature extraction is reported as its own shared
+        # step next to sessionization.
         assert set(experiment_result.timings) == {
             "commercial",
             "inhouse",

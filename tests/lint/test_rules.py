@@ -72,105 +72,6 @@ def test_rep001_allows_seeded_generators_and_out_of_scope_files(lint_tree):
 
 
 # ----------------------------------------------------------------------
-# REP003 engine parity
-# ----------------------------------------------------------------------
-_DETECTOR_PREAMBLE = """
-class Detector:
-    pass
-"""
-
-
-def test_rep003_fires_without_columnar_path_or_marker(lint_tree):
-    report = lint_tree(
-        {
-            "src/repro/detectors/lonely.py": _DETECTOR_PREAMBLE
-            + """
-class LonelyDetector(Detector):
-    def analyze(self, dataset):
-        return None
-"""
-        }
-    )
-    (finding,) = only_rule(report, "REP003")
-    assert "LonelyDetector" in finding.message
-    assert "columnar_fallback" in finding.suggestion
-
-
-def test_rep003_satisfied_by_analyze_columns_or_marker(lint_tree):
-    report = lint_tree(
-        {
-            "src/repro/detectors/fine.py": _DETECTOR_PREAMBLE
-            + """
-class ColumnarDetector(Detector):
-    def analyze(self, dataset):
-        return None
-
-    def analyze_columns(self, frame):
-        return None
-
-    def alert_columns(self, frame):
-        return None
-
-
-class FallbackDetector(Detector):
-    columnar_fallback = True
-
-    def analyze(self, dataset):
-        return None
-
-
-class NotADetector:
-    def analyze(self, dataset):
-        return None
-"""
-        }
-    )
-    assert report.findings == []
-
-
-def test_rep010_fires_on_analyze_columns_without_alert_columns(lint_tree):
-    report = lint_tree(
-        {
-            "src/repro/detectors/halfway.py": _DETECTOR_PREAMBLE
-            + """
-class HalfColumnarDetector(Detector):
-    def analyze(self, dataset):
-        return None
-
-    def analyze_columns(self, frame):
-        return None
-"""
-        }
-    )
-    assert [finding.rule for finding in report.findings] == ["REP010"]
-    assert "alert_columns" in report.findings[0].message
-
-
-def test_rep010_satisfied_by_alert_columns_or_frame_marker(lint_tree):
-    report = lint_tree(
-        {
-            "src/repro/detectors/framefine.py": _DETECTOR_PREAMBLE
-            + """
-class FrameNativeDetector(Detector):
-    def analyze_columns(self, frame):
-        return None
-
-    def alert_columns(self, frame):
-        return None
-
-
-class BridgedDetector(Detector):
-    frame_fallback = True
-
-    def analyze_columns(self, frame):
-        return None
-"""
-        }
-    )
-    assert report.findings == []
-
-
-# ----------------------------------------------------------------------
 # REP004 registry discipline
 # ----------------------------------------------------------------------
 def test_rep004_fires_on_factories_poke(lint_tree):

@@ -2,8 +2,8 @@
 
 The contract under test is the ISSUE's acceptance bar: an instrumented
 run carries a telemetry snapshot with per-stage duration histograms and
-at least ten distinct named counters; the record and columnar batch
-engines count *identical* logical events (the shared
+at least ten distinct named counters; single-process and sharded batch
+runs count *identical* logical events (the shared
 :data:`~repro.obs.names.ENGINE_EQUIVALENT_COUNTERS` vocabulary); and an
 uninstrumented run stays exactly as it was (no telemetry, legacy
 timings only).
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.columns import RecordFrame
 from repro.detectors.commercial import CommercialBotDefenceDetector
 from repro.detectors.inhouse import InHouseHeuristicDetector
 from repro.detectors.pipeline import DetectionPipeline
@@ -51,26 +52,27 @@ def _distinct_counters(telemetry: dict) -> list[str]:
     ]
 
 
-class TestEngineCounterEquivalence:
-    def test_record_and_columnar_engines_count_identical_events(self, dataset):
+class TestPipelineCounterEquivalence:
+    def test_single_and_sharded_runs_count_identical_events(self, dataset):
+        frame = RecordFrame.from_dataset(dataset)
         observed = {}
-        for engine in ("records", "columnar"):
+        for workers in (1, 2):
             registry = MetricsRegistry()
-            _pipeline(registry).run(dataset, engine=engine)
-            observed[engine] = {
+            _pipeline(registry).run_frame(frame, workers=workers)
+            observed[workers] = {
                 name: _counter_series(registry, name)
                 for name in metric_names.ENGINE_EQUIVALENT_COUNTERS
             }
             assert registry.counter(metric_names.RECORDS_INGESTED).total() == len(dataset)
-        assert observed["records"] == observed["columnar"]
+        assert observed[1] == observed[2]
         # The equivalence vocabulary is non-trivial: every counter in it
         # actually fired.
         for name in metric_names.ENGINE_EQUIVALENT_COUNTERS:
-            assert observed["columnar"][name], f"{name} never incremented"
+            assert observed[1][name], f"{name} never incremented"
 
-    def test_engines_disagree_only_on_path_labels(self, dataset):
+    def test_detector_runs_carry_the_code_path(self, dataset):
         registry = MetricsRegistry()
-        _pipeline(registry).run(dataset, engine="columnar")
+        _pipeline(registry).run(dataset)
         runs = _counter_series(registry, metric_names.DETECTOR_RUNS)
         assert runs and all(dict(labels)["path"] == "columnar" for labels in runs)
 

@@ -83,6 +83,10 @@ class TestRejection:
     def test_unknown_nested_key(self):
         with pytest.raises(SpecError, match="TrafficSpec key"):
             RunSpec.from_dict({"traffic": {"scenari": "balanced_small"}})
+        # The batch engine choice is gone: saved specs that still name
+        # one are rejected rather than silently ignored.
+        with pytest.raises(SpecError, match="ExecutionSpec key"):
+            RunSpec.from_dict({"execution": {"engine": "columnar"}})
 
     def test_bad_mode_rejected_with_suggestion(self):
         with pytest.raises(SpecError, match="did you mean 'tables'"):
