@@ -4,9 +4,10 @@ Measures what the batch benchmarks cannot: the *online* cost of a
 verdict.  Three quantities matter for a production deployment:
 
 * **throughput** -- records/second through the full four-detector engine,
-  at 1, 2 and 4 visitor shards (process backend, so multi-core hosts see
-  near-linear scaling; on a single-core host the sharded runs mostly
-  measure partitioning overhead);
+  at 1, 2 and 4 visitor shards (one forked worker per shard when there
+  are several, so multi-core hosts see near-linear scaling; on a
+  single-core host the sharded runs mostly measure partitioning
+  overhead);
 * **decision latency** -- the p50/p99 wall-clock time from a record
   entering the engine to its ensemble verdict;
 * **shard scaling** -- multi-shard vs single-shard throughput.
@@ -36,8 +37,7 @@ def replay_records(bench_dataset):
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_perf_streaming_throughput(benchmark, replay_records, shards):
-    backend = "process" if shards > 1 else "serial"
-    runner = ShardedStreamRunner(_engine_factory, shards=shards, backend=backend)
+    runner = ShardedStreamRunner(_engine_factory, shards=shards)
 
     result = benchmark.pedantic(runner.run, args=(replay_records,), rounds=2, iterations=1)
 
@@ -76,8 +76,7 @@ def test_perf_multishard_throughput_vs_single_shard(replay_records):
     """
 
     def best_rate(shards: int) -> float:
-        backend = "process" if shards > 1 else "serial"
-        runner = ShardedStreamRunner(_engine_factory, shards=shards, backend=backend)
+        runner = ShardedStreamRunner(_engine_factory, shards=shards)
         best = float("inf")
         for _ in range(2):
             started = time.perf_counter()

@@ -22,7 +22,8 @@ Subcommands
     Replay a scenario (or an existing log file) through the real-time
     streaming engine (:mod:`repro.stream`): live alert totals while the
     stream runs, then a final Table-1-style summary with the adjudicated
-    ensemble verdict and throughput.
+    ensemble verdict and throughput.  ``--shards N`` splits the stream by
+    visitor across N forked worker processes.
 ``defend``
     Run the closed-loop enforcement simulation (:mod:`repro.mitigation`):
     a scraping campaign against the enforcement gateway, reported as a
@@ -243,13 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay traffic through the streaming engine",
     )
     stream.add_argument("--log-file", default=None, help="replay an existing access log instead of generating one")
-    stream.add_argument("--shards", type=int, default=1, help="number of visitor-sharded engine workers")
-    stream.add_argument(
-        "--backend",
-        choices=["thread", "process", "serial"],
-        default="thread",
-        help="sharded execution backend (with --shards > 1)",
-    )
+    stream.add_argument("--shards", type=int, default=1, help="number of visitor shards, one forked worker process each")
     stream.add_argument("--k", type=int, default=1, help="detector votes required to alert (k-out-of-4)")
     stream.add_argument("--window", type=float, default=300.0, help="adjudication window in seconds")
     stream.add_argument("--skew", type=float, default=0.0, help="reorder-buffer bound for out-of-order records (seconds)")
@@ -763,7 +758,6 @@ def _command_stream(args: argparse.Namespace) -> int:
         adjudication=AdjudicationSpec(k=args.k, window_seconds=args.window),
         execution=ExecutionSpec(
             shards=args.shards,
-            backend=args.backend,
             max_skew_seconds=args.skew,
             track_latency=args.track_latency,
             progress_every=args.progress_every,

@@ -33,12 +33,13 @@ import numpy as np
 
 from repro.core.alerts import AlertMatrix, AlertSet
 from repro.detectors.base import Detector
-from repro.exceptions import DetectorError, ShardWorkerError
+from repro.exceptions import DetectorError
 from repro.logs.dataset import Dataset
 from repro.logs.sessionization import Sessionizer
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry, resolve_registry
 from repro.obs.spans import trace_span
+from repro.sharding import fork_map, shard_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columns import RecordFrame
@@ -234,12 +235,6 @@ class DetectionPipeline:
     ) -> tuple[list["DetectorAlerts"], int, dict[str, float]]:
         from repro.columns.alertframe import DetectorAlerts, ReasonEncoder
 
-        # Reuse the stream runner's visitor hash so batch shards and
-        # stream shards agree on placement (the import is deferred to
-        # keep the detector layer import-independent of the stream one).
-        from repro.stream.runner import shard_of
-
-        global _FRAME_SHARD_STATE
         timings: dict[str, float] = {}
         ips = frame.tables["client_ip"]
         per_ip_shard = np.fromiter(
@@ -255,18 +250,13 @@ class DetectionPipeline:
 
         with trace_span("shards", self.registry, workers=workers) as span:
             started = time.perf_counter()
-            _FRAME_SHARD_STATE = (
-                frame,
-                shard_rows,
-                self.detectors,
-                self.sessionizer.timeout,
+            shard_results, forked = fork_map(
+                _run_frame_shard,
+                (frame, shard_rows, self.detectors, self.sessionizer.timeout),
+                workers,
             )
-            try:
-                shard_results = _map_shards(workers)
-            finally:
-                _FRAME_SHARD_STATE = None
             timings["shards"] = time.perf_counter() - started
-            span.set_attribute(records=len(frame))
+            span.set_attribute(records=len(frame), forked=forked)
 
         session_count = sum(count for count, _ in shard_results)
         # The children could not reach this registry: account the
@@ -303,42 +293,9 @@ class DetectionPipeline:
         return merged, session_count, timings
 
 
-#: ``(frame, shard row arrays, detectors, session timeout)`` shared with
-#: forked shard workers through copy-on-write memory -- set immediately
-#: before the fork, cleared at join (the stream runner's pattern).
-_FRAME_SHARD_STATE: tuple | None = None
-
-
-def _map_shards(workers: int) -> list:
-    """Run :func:`_run_frame_shard` for every shard, one forked worker each.
-
-    Without fork on this platform the shards run in-process instead
-    (same arrays, same merge).  A worker that dies before returning its
-    shard raises :class:`~repro.exceptions.ShardWorkerError`.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:
-        return [_run_frame_shard(index) for index in range(workers)]
-    try:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            return list(pool.map(_run_frame_shard, range(workers)))
-    except BrokenProcessPool as error:
-        raise ShardWorkerError(
-            f"a worker process of the {workers}-worker sharded batch run died "
-            "before returning its shard",
-            workers,
-        ) from error
-
-
-def _run_frame_shard(index: int):
-    """Run every detector over one shard (executes in a worker process)."""
-    assert _FRAME_SHARD_STATE is not None
-    frame, shard_rows, detectors, timeout = _FRAME_SHARD_STATE
+def _run_frame_shard(state: tuple, index: int) -> tuple:
+    """Run every detector over one shard (in a forked worker, or in-process)."""
+    frame, shard_rows, detectors, timeout = state
     from repro.columns import FeatureMatrix, sessionize_frame
     from repro.columns.alertframe import DetectorAlerts
 

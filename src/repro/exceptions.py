@@ -56,7 +56,7 @@ class DetectorNotFittedError(DetectorError):
 
 
 class ShardWorkerError(DetectorError):
-    """Raised when a worker process of a sharded batch run dies.
+    """Raised when a worker process of a sharded run dies.
 
     The worker exited (killed, crashed, out of memory) before returning
     its shard, so the run cannot be completed.

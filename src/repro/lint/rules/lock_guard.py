@@ -4,7 +4,7 @@ A class that creates a ``threading.Lock``/``RLock`` in ``__init__`` and
 writes some attribute under ``with self._lock:`` has declared that
 attribute lock-guarded.  Any *other* write to the same attribute that is
 not under the lock is a latent race -- exactly the bug class the
-sharded stream runner and the run store were designed to avoid.
+metrics registry and the run store were designed to avoid.
 
 Conventions the rule understands:
 

@@ -23,7 +23,8 @@ Design points:
   (p50/p95/p99) cheap: walk the cumulative counts and interpolate inside
   the target bucket, clamped to the observed min/max.
 * **Thread safety.**  One lock per registry guards every mutation; the
-  streaming thread backend feeds shards from worker threads.
+  live ``/metrics`` server and the profiler's sampler use it from their
+  own threads while the run writes.
 """
 
 from __future__ import annotations

@@ -70,8 +70,6 @@ SESSIONS_OPEN = "repro_sessions_open"
 VERDICT_SECONDS = "repro_verdict_seconds"
 DETECTOR_VERDICT_SECONDS = "repro_detector_verdict_seconds"
 SHARD_RECORDS = "repro_stream_shard_records_total"
-QUEUE_DEPTH = "repro_stream_queue_depth"
-BACKPRESSURE_WAITS = "repro_stream_backpressure_waits_total"
 
 # ----------------------------------------------------------------------
 # Trace store / generation cache
@@ -119,8 +117,6 @@ METRIC_REFERENCE: tuple[tuple[str, str, str, str], ...] = (
     (VERDICT_SECONDS, "histogram", "-", "per-request ensemble decision latency"),
     (DETECTOR_VERDICT_SECONDS, "histogram", "detector", "per-request detector decision latency"),
     (SHARD_RECORDS, "counter", "shard", "records processed per stream shard"),
-    (QUEUE_DEPTH, "gauge", "shard", "inbound queue depth per stream shard (batches)"),
-    (BACKPRESSURE_WAITS, "counter", "shard", "feeder blocks on a full shard queue"),
     (RUNS, "counter", "mode", "workloads executed"),
     (DATASETS_BUILT, "counter", "source", "data sets materialised by source kind"),
     (LABELLED_RECORDS, "counter", "label", "ground-truth-labelled records by label"),

@@ -30,7 +30,6 @@ from repro.runspec.execute import build_dataset, execute
 from repro.runspec.result import RunResult
 from repro.runspec.spec import (
     ADJUDICATION_MODES,
-    BACKENDS,
     CAMPAIGNS,
     DEFAULT_SCENARIO,
     RUN_MODES,
@@ -47,7 +46,6 @@ from repro.runspec.spec import (
 __all__ = [
     "ADJUDICATION_MODES",
     "AdjudicationSpec",
-    "BACKENDS",
     "CAMPAIGNS",
     "DEFAULT_SCENARIO",
     "DetectorSpec",

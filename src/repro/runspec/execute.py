@@ -554,7 +554,6 @@ def _run_stream(
             runner = ShardedStreamRunner(
                 engine_factory,
                 shards=execution.shards,
-                backend=execution.backend,
                 registry=registry,
             )
             result = runner.run(records)

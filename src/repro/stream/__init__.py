@@ -17,8 +17,8 @@ verdicts online:
   window;
 * :mod:`repro.stream.engine` -- the event-driven engine tying the above
   together;
-* :mod:`repro.stream.runner` -- visitor-sharded multi-worker execution
-  with bounded queues and backpressure;
+* :mod:`repro.stream.runner` -- visitor-sharded execution, one forked
+  worker process per shard (:mod:`repro.sharding`);
 * :mod:`repro.stream.bridge` -- proof that replaying a data set through
   the engine reproduces the batch pipeline's alert sets exactly.
 
@@ -55,7 +55,8 @@ from repro.stream.detectors import (
 )
 from repro.stream.engine import StreamEngine, StreamResult
 from repro.stream.events import EngineStats, OnlineVerdict, RequestVerdict
-from repro.stream.runner import ShardedStreamRunner, shard_of
+from repro.sharding import shard_of
+from repro.stream.runner import ShardedStreamRunner
 from repro.stream.sessionizer import IncrementalSessionizer, SessionUpdate
 from repro.stream.sources import dataset_replay, generator_feed, tail_log_file, trace_replay
 

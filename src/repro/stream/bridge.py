@@ -123,7 +123,6 @@ def verify_equivalence(
     pairs: Sequence[tuple[Callable[[], OnlineDetector], Callable[[], Detector]]] | None = None,
     *,
     shards: int = 1,
-    backend: str = "serial",
 ) -> EquivalenceReport:
     """Run batch and stream over ``dataset`` and compare alert sets.
 
@@ -134,7 +133,7 @@ def verify_equivalence(
     pairs:
         (online factory, batch factory) pairs; defaults to
         :func:`ported_detector_pairs`.
-    shards, backend:
+    shards:
         When ``shards > 1`` the stream side runs through a
         :class:`~repro.stream.runner.ShardedStreamRunner`, proving the
         sharded deployment equivalent too.
@@ -147,7 +146,7 @@ def verify_equivalence(
         return StreamEngine([online_factory() for online_factory, _ in pairs])
 
     if shards > 1:
-        runner = ShardedStreamRunner(engine_factory, shards=shards, backend=backend)
+        runner = ShardedStreamRunner(engine_factory, shards=shards)
         stream_result = runner.run(dataset_replay(dataset))
     else:
         stream_result = engine_factory().run(dataset_replay(dataset))

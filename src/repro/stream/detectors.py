@@ -21,8 +21,9 @@ order, so streaming runs plug straight into the existing
 Ports
 -----
 * :class:`OnlineRequestRateLimiter` -- per-request sliding-window rate
-  limiting with a penalty period (the production-style limiter the
-  legacy ``repro.detectors.streaming`` module exposed).
+  limiting with a penalty period (a production-style limiter with no
+  batch counterpart; :class:`~repro.detectors.streaming.StreamingDetector`
+  brings it to the batch analyses).
 * :class:`OnlineRateLimitDetector` -- port of
   :class:`~repro.detectors.ratelimit.RateLimitDetector`.
 * :class:`OnlineFingerprintDetector` -- port of

@@ -235,7 +235,7 @@ class StreamEngine:
         step is *not* run: detectors with global state (the anomaly port's
         contamination threshold is a quantile over all sessions) must be
         merged across shards first.  The returned dictionary is picklable
-        so process-backend workers can ship it to the parent.
+        so forked shard workers can ship it to the parent.
         """
         if self._finished:
             raise DetectorError("engine already finished")

@@ -23,12 +23,7 @@ from typing import Mapping
 
 @dataclass
 class OnlineVerdict:
-    """One online detector's decision for one request.
-
-    This type intentionally matches the historical
-    ``repro.detectors.streaming.StreamingVerdict`` layout so the legacy
-    batch-facing adapters can re-export it unchanged.
-    """
+    """One online detector's decision for one request."""
 
     request_id: str
     alerted: bool

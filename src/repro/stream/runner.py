@@ -8,32 +8,15 @@ per-shard results merge losslessly at the end (the anomaly port pools
 its session features across shards before fitting, so even its global
 contamination threshold matches an unsharded run).
 
-Backends
---------
-``"serial"``
-    One engine per shard, fed inline on the caller's thread.  The
-    baseline for correctness tests.
-``"thread"``
-    One worker thread per shard behind a *bounded* queue: when a shard
-    falls behind, ``put`` blocks and the feeder slows down -- classic
-    backpressure, so a bursty botnet cannot balloon memory.  Threads
-    share the GIL, so this backend is about isolation and flow control,
-    not CPU speedup.
-``"process"``
-    Fork one worker process per shard (near-linear speedup on multi-core
-    hosts for this CPU-bound workload).  Records are partitioned before
-    forking so the children inherit them copy-free; only the compact
-    per-shard exports travel back.  Falls back to ``"thread"`` where
-    ``fork`` is unavailable.
+The records are partitioned with :func:`~repro.sharding.shard_of` and the
+shards run through :func:`~repro.sharding.fork_map`: one forked worker
+process per shard, which inherits its partition copy-free and ships only
+its compact export back.  Where ``fork`` is unavailable the shards run
+one after another in-process; the merged result is the same.
 """
 
 from __future__ import annotations
 
-import logging
-import multiprocessing
-import queue
-import threading
-import zlib
 from typing import Callable, Iterable, Sequence
 
 from repro.core.adjudication import AdjudicationResult
@@ -41,39 +24,16 @@ from repro.exceptions import DetectorError
 from repro.logs.record import LogRecord
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry, resolve_registry
+from repro.sharding import fork_map, shard_of
 from repro.stream.engine import StreamEngine, StreamResult
 from repro.stream.events import EngineStats
 
-logger = logging.getLogger(__name__)
 
-BACKENDS = ("serial", "thread", "process")
-
-#: Records handed to a shard queue per batch (thread backend).  Batching
-#: amortises queue synchronisation without hurting latency measurably.
-DEFAULT_BATCH_SIZE = 256
-
-
-def shard_of(client_ip: str, shards: int) -> int:
-    """The shard a visitor belongs to (stable across processes and runs).
-
-    ``zlib.crc32`` rather than ``hash()`` because the latter is salted
-    per process, which would scatter one visitor across shards between
-    the parent and forked workers.
-    """
-    return zlib.crc32(client_ip.encode("utf-8")) % shards
-
-
-# ----------------------------------------------------------------------
-# Fork-based worker plumbing.  The partitions and factory are handed to
-# the children through module globals set immediately before the fork,
-# so nothing but the compact result exports is ever pickled.
-# ----------------------------------------------------------------------
-_FORK_STATE: tuple[list[list[LogRecord]], Callable[[], StreamEngine]] | None = None
-
-
-def _run_fork_shard(index: int) -> dict:
-    assert _FORK_STATE is not None
-    partitions, factory = _FORK_STATE
+def _run_shard(
+    state: tuple[list[list[LogRecord]], Callable[[], StreamEngine]], index: int
+) -> dict:
+    """Feed one shard's records through a fresh engine; return its export."""
+    partitions, factory = state
     engine = factory()
     engine.reset()
     for record in partitions[index]:
@@ -92,21 +52,11 @@ class ShardedStreamRunner:
         Each call must return a fresh engine -- shards share no state.
     shards:
         Number of worker shards.
-    backend:
-        One of :data:`BACKENDS`.
-    queue_size:
-        Bound of each shard's inbound queue, in records (thread backend).
-        When a worker lags, feeding blocks: backpressure instead of
-        unbounded buffering.
-    batch_size:
-        Records per queue element (thread backend).
     registry:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` owned by the
         *runner* (worker engines run unregistered; per-shard counts are
         bulk-added here at merge time, which is also why per-request
         latency histograms are only available on the single-engine path).
-        The thread backend additionally samples each shard's queue depth
-        and counts feeder blocks on a full queue (backpressure).
     """
 
     def __init__(
@@ -114,142 +64,27 @@ class ShardedStreamRunner:
         engine_factory: Callable[[], StreamEngine],
         *,
         shards: int = 2,
-        backend: str = "thread",
-        queue_size: int = 8192,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         registry: MetricsRegistry | None = None,
     ) -> None:
         if shards < 1:
             raise DetectorError("shards must be at least 1")
-        if backend not in BACKENDS:
-            raise DetectorError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-        if queue_size < 1 or batch_size < 1:
-            raise DetectorError("queue_size and batch_size must be at least 1")
         self.engine_factory = engine_factory
         self.shards = shards
-        self.backend = backend
-        self.queue_size = queue_size
-        self.batch_size = batch_size
         self.registry = resolve_registry(registry)
 
-    # ------------------------------------------------------------------
     def run(self, records: Iterable[LogRecord]) -> StreamResult:
-        """Consume the stream across all shards and merge the results."""
-        backend = self.backend
-        if backend == "process" and "fork" not in multiprocessing.get_all_start_methods():
-            logger.warning(
-                "process backend unavailable, falling back",
-                extra={"requested": "process", "fallback": "thread"},
-            )
-            backend = "thread"
-        if backend == "process":
-            exports = self._run_process(records)
-        elif backend == "thread":
-            exports = self._run_thread(records)
-        else:
-            exports = self._run_serial(records)
-        return self._merge(exports, concurrent=backend != "serial")
+        """Consume the stream across all shards and merge the results.
 
-    # ------------------------------------------------------------------
-    def _run_serial(self, records: Iterable[LogRecord]) -> list[dict]:
-        engines = [self.engine_factory() for _ in range(self.shards)]
-        for engine in engines:
-            engine.reset()
-        for record in records:
-            engines[shard_of(record.client_ip, self.shards)].process(record)
-        return [engine.finish_shard() for engine in engines]
-
-    def _run_thread(self, records: Iterable[LogRecord]) -> list[dict]:
-        max_batches = max(1, self.queue_size // self.batch_size)
-        queues: list[queue.Queue] = [queue.Queue(maxsize=max_batches) for _ in range(self.shards)]
-        exports: list[dict | None] = [None] * self.shards
-        errors: list[BaseException | None] = [None] * self.shards
-
-        def worker(index: int) -> None:
-            sentinel_seen = False
-            try:
-                engine = self.engine_factory()
-                engine.reset()
-                while True:
-                    batch = queues[index].get()
-                    if batch is None:
-                        sentinel_seen = True
-                        exports[index] = engine.finish_shard()
-                        return
-                    for record in batch:
-                        engine.process(record)
-            except BaseException as exc:  # surfaced to the caller below
-                errors[index] = exc
-                # Keep draining until the sentinel: the feeder may be
-                # blocked on this shard's bounded queue, and abandoning it
-                # would deadlock the whole run.  (Skip once the sentinel
-                # was consumed -- nothing more will ever arrive.)
-                if not sentinel_seen:
-                    while queues[index].get() is not None:
-                        pass
-
-        threads = [
-            threading.Thread(target=worker, args=(index,), name=f"stream-shard-{index}", daemon=True)
-            for index in range(self.shards)
-        ]
-        for thread in threads:
-            thread.start()
-
-        instrumented = self.registry.enabled
-        depth_gauge = self.registry.gauge(
-            metric_names.QUEUE_DEPTH, "Inbound queue depth per stream shard (batches)."
-        )
-        backpressure = self.registry.counter(
-            metric_names.BACKPRESSURE_WAITS, "Feeder blocks on a full shard queue."
-        )
-
-        def feed(index: int, batch: list[LogRecord] | None) -> None:
-            if instrumented:
-                # full() is a racy hint, which is fine for a counter of
-                # "times the feeder (probably) had to wait".
-                if queues[index].full():
-                    backpressure.inc(shard=str(index))
-                queues[index].put(batch)
-                depth_gauge.set(queues[index].qsize(), shard=str(index))
-            else:
-                queues[index].put(batch)
-
-        pending: list[list[LogRecord]] = [[] for _ in range(self.shards)]
-        for record in records:
-            index = shard_of(record.client_ip, self.shards)
-            pending[index].append(record)
-            if len(pending[index]) >= self.batch_size:
-                feed(index, pending[index])
-                pending[index] = []
-        for index in range(self.shards):
-            if pending[index]:
-                feed(index, pending[index])
-            feed(index, None)
-        for thread in threads:
-            thread.join()
-
-        for error in errors:
-            if error is not None:
-                raise error
-        return [export for export in exports if export is not None]
-
-    def _run_process(self, records: Iterable[LogRecord]) -> list[dict]:
-        global _FORK_STATE
+        A worker that dies before returning its shard raises
+        :class:`~repro.exceptions.ShardWorkerError`.
+        """
         partitions: list[list[LogRecord]] = [[] for _ in range(self.shards)]
         for record in records:
             partitions[shard_of(record.client_ip, self.shards)].append(record)
-        context = multiprocessing.get_context("fork")
-        _FORK_STATE = (partitions, self.engine_factory)
-        try:
-            with context.Pool(processes=self.shards) as pool:
-                return pool.map(_run_fork_shard, range(self.shards))
-        finally:
-            _FORK_STATE = None
+        exports, forked = fork_map(_run_shard, (partitions, self.engine_factory), self.shards)
+        return self._merge(exports, forked=forked)
 
-    # ------------------------------------------------------------------
-    def _merge(self, exports: Sequence[dict], *, concurrent: bool) -> StreamResult:
-        if len(exports) != self.shards:
-            raise DetectorError(f"expected {self.shards} shard exports, got {len(exports)}")
+    def _merge(self, exports: Sequence[dict], *, forked: bool) -> StreamResult:
         reference = self.engine_factory()
         alert_sets = [
             detector.merge_states([export["states"][column] for export in exports])
@@ -272,9 +107,9 @@ class ShardedStreamRunner:
             stats.sessions_opened += shard_stats.sessions_opened
             stats.sessions_closed += shard_stats.sessions_closed
             stats.ensemble_alerts += shard_stats.ensemble_alerts
-            # Concurrent shards overlap, so wall-clock throughput is bounded
-            # by the busiest shard; serial shards run back to back and add up.
-            if concurrent:
+            # Forked shards overlap, so wall-clock throughput is bounded by
+            # the busiest shard; in-process shards run back to back and add up.
+            if forked:
                 stats.busy_seconds = max(stats.busy_seconds, shard_stats.busy_seconds)
             else:
                 stats.busy_seconds += shard_stats.busy_seconds

@@ -40,6 +40,7 @@ from repro.runspec.spec import ExecutionSpec
 from repro.trace import write_trace
 from repro.traffic.generator import generate_dataset
 from repro.traffic.scenarios import get_scenario
+from tests.helpers import disable_fork, hang_guard
 
 
 def _detectors():
@@ -68,12 +69,15 @@ def _comparable(result):
 
 
 class TestFramePipelineEquivalence:
-    def test_alert_sets_byte_identical_across_paths(self, preset):
+    def test_alert_sets_byte_identical_across_paths(self, preset, monkeypatch):
         _dataset, frame, _trace, reference = preset
         oracle = reference.experiment.matrix
         single = DetectionPipeline(_detectors()).run_frame(frame)
         sharded = DetectionPipeline(_detectors()).run_frame(frame, workers=2)
-        for frame_result in (single, sharded):
+        # Where fork is unavailable the shards run in-process, same merge.
+        disable_fork(monkeypatch)
+        in_process = DetectionPipeline(_detectors()).run_frame(frame, workers=2)
+        for frame_result in (single, sharded, in_process):
             assert frame_result.matrix.request_ids == oracle.request_ids
             assert (frame_result.matrix.values == oracle.values).all()
             for by_record, by_frame in zip(
@@ -235,17 +239,8 @@ def test_dead_shard_worker_raises_instead_of_hanging():
     dataset = generate_dataset(get_scenario("balanced_small", total_requests=1_000, seed=5))
     frame = RecordFrame.from_dataset(dataset)
 
-    def timed_out(_signum, _frame):
-        raise TimeoutError("the sharded run hung after its worker died")
-
-    previous = signal.signal(signal.SIGALRM, timed_out)
-    signal.alarm(10)
     started = time.monotonic()
-    try:
-        with pytest.raises(ShardWorkerError, match="2-worker") as raised:
-            DetectionPipeline([_DyingDetector()]).run_frame(frame, workers=2)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    with hang_guard(10), pytest.raises(ShardWorkerError, match="2-worker") as raised:
+        DetectionPipeline([_DyingDetector()]).run_frame(frame, workers=2)
     assert raised.value.workers == 2
     assert time.monotonic() - started < 10

@@ -5,69 +5,73 @@ from __future__ import annotations
 import pytest
 
 from repro.detectors.ratelimit import RateLimitDetector
-from repro.detectors.streaming import StreamingDetector, StreamingRateLimiter
+from repro.detectors.streaming import StreamingDetector
 from repro.logs.dataset import Dataset
+from repro.stream.detectors import OnlineRequestRateLimiter
 from tests.helpers import BROWSER_UA, SCRIPTED_UA, make_record, make_records
 
 
 class TestStreamingRateLimiter:
+    """The ``streaming-rate`` limiter, :class:`OnlineRequestRateLimiter`."""
+
     def test_slow_visitor_never_flagged(self):
-        limiter = StreamingRateLimiter(max_requests=30, window_seconds=60)
-        verdicts = limiter.observe_stream(make_records(20, gap_seconds=10))
+        limiter = OnlineRequestRateLimiter(max_requests=30, window_seconds=60)
+        verdicts = [limiter.observe(record) for record in make_records(20, gap_seconds=10)]
         assert not any(verdict.alerted for verdict in verdicts)
 
     def test_fast_visitor_flagged_once_budget_exceeded(self):
-        limiter = StreamingRateLimiter(max_requests=10, window_seconds=60, penalty_seconds=0)
-        verdicts = limiter.observe_stream(make_records(20, gap_seconds=1))
+        limiter = OnlineRequestRateLimiter(max_requests=10, window_seconds=60, penalty_seconds=0)
+        verdicts = [limiter.observe(record) for record in make_records(20, gap_seconds=1)]
         assert not verdicts[5].alerted  # still under budget
         assert verdicts[11].alerted  # 12th request within the window
         assert "exceeds" in verdicts[11].reason
 
     def test_penalty_period_keeps_visitor_flagged(self):
-        limiter = StreamingRateLimiter(max_requests=5, window_seconds=60, penalty_seconds=600)
+        limiter = OnlineRequestRateLimiter(max_requests=5, window_seconds=60, penalty_seconds=600)
         records = make_records(8, gap_seconds=1) + [make_record("late", seconds=120)]
-        verdicts = limiter.observe_stream(records)
+        verdicts = [limiter.observe(record) for record in records]
         assert verdicts[-1].alerted
         assert "penalty" in verdicts[-1].reason
 
     def test_scripted_agents_flagged_immediately(self):
-        limiter = StreamingRateLimiter()
+        limiter = OnlineRequestRateLimiter()
         verdict = limiter.observe(make_record(user_agent=SCRIPTED_UA))
         assert verdict.alerted
         assert "scripted" in verdict.reason
 
     def test_visitors_tracked_independently(self):
-        limiter = StreamingRateLimiter(max_requests=5, window_seconds=60)
+        limiter = OnlineRequestRateLimiter(max_requests=5, window_seconds=60)
         fast = make_records(10, gap_seconds=1, ip="172.20.0.1")
         slow = [make_record(f"s{i}", seconds=i * 30, ip="10.16.0.1") for i in range(10)]
         merged = sorted(fast + slow, key=lambda r: r.timestamp)
-        verdicts = {v.request_id: v for v in limiter.observe_stream(merged)}
+        verdicts = {v.request_id: v for v in map(limiter.observe, merged)}
         assert any(verdicts[f"r{i}"].alerted for i in range(10))
         assert not any(verdicts[f"s{i}"].alerted for i in range(10))
 
     def test_reset_clears_state(self):
-        limiter = StreamingRateLimiter(max_requests=3, window_seconds=60)
-        limiter.observe_stream(make_records(6, gap_seconds=1))
+        limiter = OnlineRequestRateLimiter(max_requests=3, window_seconds=60)
+        for record in make_records(6, gap_seconds=1):
+            limiter.observe(record)
         limiter.reset()
         verdict = limiter.observe(make_record("fresh", seconds=100))
         assert not verdict.alerted
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            StreamingRateLimiter(max_requests=0)
+            OnlineRequestRateLimiter(max_requests=0)
         with pytest.raises(ValueError):
-            StreamingRateLimiter(window_seconds=0)
+            OnlineRequestRateLimiter(window_seconds=0)
 
     def test_record_alerts_opt_out_bounds_memory(self):
-        limiter = StreamingRateLimiter(max_requests=3, window_seconds=60, record_alerts=False)
-        verdicts = limiter.observe_stream(make_records(10, gap_seconds=1))
+        limiter = OnlineRequestRateLimiter(max_requests=3, window_seconds=60, record_alerts=False)
+        verdicts = [limiter.observe(record) for record in make_records(10, gap_seconds=1)]
         assert any(verdict.alerted for verdict in verdicts)
         assert len(limiter.final_alert_set()) == 0
 
     def test_batch_adapter_works_with_alert_free_limiter(self):
         # analyze() must return the alerts even when the limiter was
         # configured alert-free for live deployments.
-        limiter = StreamingRateLimiter(max_requests=10, window_seconds=60, record_alerts=False)
+        limiter = OnlineRequestRateLimiter(max_requests=10, window_seconds=60, record_alerts=False)
         dataset = Dataset(make_records(40, gap_seconds=0.5, user_agent=BROWSER_UA))
         alerts = StreamingDetector(limiter).analyze(dataset)
         assert len(alerts) > 0
@@ -77,7 +81,7 @@ class TestStreamingRateLimiter:
 class TestStreamingDetector:
     def test_batch_adapter_flags_fast_traffic(self):
         dataset = Dataset(make_records(40, gap_seconds=0.5, user_agent=BROWSER_UA))
-        alerts = StreamingDetector(StreamingRateLimiter(max_requests=20, window_seconds=60)).analyze(dataset)
+        alerts = StreamingDetector(OnlineRequestRateLimiter(max_requests=20, window_seconds=60)).analyze(dataset)
         assert len(alerts) > 0
         assert len(alerts) < len(dataset)  # the ramp-up requests pass
 
@@ -85,13 +89,13 @@ class TestStreamingDetector:
         # Records supplied out of order must still be judged chronologically.
         records = list(reversed(make_records(30, gap_seconds=1)))
         dataset = Dataset(records)
-        alerts = StreamingDetector(StreamingRateLimiter(max_requests=10, window_seconds=60)).analyze(dataset)
+        alerts = StreamingDetector(OnlineRequestRateLimiter(max_requests=10, window_seconds=60)).analyze(dataset)
         assert "r29" in alerts or len(alerts) > 0
 
     def test_agrees_with_batch_rate_detector_on_aggressive_traffic(self, small_dataset):
         """Online and offline rate limiting should broadly agree on which
         requests belong to fast automation (they use the same signal)."""
-        streaming = StreamingDetector(StreamingRateLimiter(max_requests=45, window_seconds=60, flag_scripted_agents=False))
+        streaming = StreamingDetector(OnlineRequestRateLimiter(max_requests=45, window_seconds=60, flag_scripted_agents=False))
         batch = RateLimitDetector(threshold_rpm=45)
         streaming_ids = streaming.analyze(small_dataset).request_ids()
         batch_ids = batch.analyze(small_dataset).request_ids()

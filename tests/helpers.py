@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import signal
+from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.core.alerts import AlertMatrix, AlertSet
 from repro.logs.dataset import BENIGN, MALICIOUS, Dataset, GroundTruth
@@ -100,3 +103,34 @@ def make_alert_matrix(
             alert_set.add(request_id)
         alert_sets.append(alert_set)
     return AlertMatrix.from_alert_sets(dataset, alert_sets)
+
+
+def disable_fork(monkeypatch) -> None:
+    """Make ``multiprocessing.get_context("fork")`` fail, as where fork does not exist."""
+    get_context = multiprocessing.get_context
+
+    def without_fork(method=None):
+        if method == "fork":
+            raise ValueError("cannot find context for 'fork'")
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", without_fork)
+
+
+@contextmanager
+def hang_guard(seconds: int) -> Iterator[None]:
+    """Raise :class:`TimeoutError` if the block is still running after ``seconds``.
+
+    Uses ``SIGALRM``; skip tests that need it where the signal is missing.
+    """
+
+    def timed_out(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s: the run hung")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

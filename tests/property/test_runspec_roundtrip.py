@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.runspec import (
     ADJUDICATION_MODES,
-    BACKENDS,
     CAMPAIGNS,
     RUN_MODES,
     AdjudicationSpec,
@@ -67,7 +66,6 @@ _adjudication_specs = st.builds(
 _execution_specs = st.builds(
     ExecutionSpec,
     shards=st.integers(1, 16),
-    backend=st.sampled_from(BACKENDS),
     max_skew_seconds=st.floats(min_value=0.0, max_value=3600.0, allow_nan=False),
     track_latency=st.booleans(),
     progress_every=st.integers(0, 10**6),

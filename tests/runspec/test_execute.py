@@ -117,7 +117,7 @@ class TestStreamMode:
         sharded = RunSpec(
             mode="stream",
             adjudication=AdjudicationSpec(k=2),
-            execution=ExecutionSpec(shards=2, backend="serial"),
+            execution=ExecutionSpec(shards=2),
         )
         first = execute(single, dataset=small_spec_dataset)
         second = execute(sharded, dataset=small_spec_dataset)

@@ -34,7 +34,7 @@ def full_spec() -> RunSpec:
             DetectorSpec(name="anomaly", params={"contamination": 0.2}),
         ),
         adjudication=AdjudicationSpec(mode="serial-confirm", k=2, window_seconds=120.0),
-        execution=ExecutionSpec(shards=4, backend="process", max_skew_seconds=5.0),
+        execution=ExecutionSpec(shards=4, max_skew_seconds=5.0),
         policy=PolicySpec(name="strict"),
         label="everything",
     )
@@ -83,10 +83,11 @@ class TestRejection:
     def test_unknown_nested_key(self):
         with pytest.raises(SpecError, match="TrafficSpec key"):
             RunSpec.from_dict({"traffic": {"scenari": "balanced_small"}})
-        # The batch engine choice is gone: saved specs that still name
-        # one are rejected rather than silently ignored.
-        with pytest.raises(SpecError, match="ExecutionSpec key"):
-            RunSpec.from_dict({"execution": {"engine": "columnar"}})
+        # The batch engine and the stream backend choices are gone: saved
+        # specs that still name one are rejected rather than silently ignored.
+        for execution in ({"engine": "columnar"}, {"backend": "thread"}):
+            with pytest.raises(SpecError, match="ExecutionSpec key"):
+                RunSpec.from_dict({"execution": execution})
 
     def test_bad_mode_rejected_with_suggestion(self):
         with pytest.raises(SpecError, match="did you mean 'tables'"):
@@ -99,10 +100,6 @@ class TestRejection:
     def test_bad_campaign_rejected(self):
         with pytest.raises(SpecError, match="campaign"):
             TrafficSpec(campaign="sneaky")
-
-    def test_bad_backend_rejected(self):
-        with pytest.raises(SpecError, match="backend"):
-            ExecutionSpec(backend="gpu")
 
     def test_bad_adjudication_mode_rejected(self):
         with pytest.raises(SpecError, match="adjudication mode"):

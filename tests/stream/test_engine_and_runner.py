@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+
 import pytest
 
-from repro.exceptions import DetectorError
+from repro.exceptions import DetectorError, ShardWorkerError
 from repro.stream import (
     ShardedStreamRunner,
     StreamEngine,
@@ -14,7 +18,7 @@ from repro.stream import (
 )
 from repro.stream.detectors import OnlineRequestRateLimiter
 from repro.stream.sources import dataset_replay
-from tests.helpers import SCRIPTED_UA, make_record, make_records
+from tests.helpers import SCRIPTED_UA, disable_fork, hang_guard, make_record, make_records
 
 
 class TestStreamEngine:
@@ -95,14 +99,15 @@ class TestShardedStreamRunner:
         assert shard_of("10.0.0.1", 4) == shard_of("10.0.0.1", 4)
         assert all(0 <= shard_of(f"10.0.{i}.1", 4) < 4 for i in range(64))
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_backends_match_single_engine(self, backend, small_dataset):
+    @pytest.mark.parametrize("fork", [True, False], ids=["fork", "no-fork"])
+    def test_backends_match_single_engine(self, fork, small_dataset, monkeypatch):
         def factory():
             return StreamEngine(default_online_detectors())
 
         single = factory().run(dataset_replay(small_dataset))
-        runner = ShardedStreamRunner(factory, shards=2, backend=backend, queue_size=512)
-        sharded = runner.run(dataset_replay(small_dataset))
+        if not fork:
+            disable_fork(monkeypatch)
+        sharded = ShardedStreamRunner(factory, shards=2).run(dataset_replay(small_dataset))
         assert sharded.stats.records == single.stats.records
         for single_set, sharded_set in zip(single.alert_sets, sharded.alert_sets):
             assert single_set.detector_name == sharded_set.detector_name
@@ -116,7 +121,7 @@ class TestShardedStreamRunner:
                 adjudicator=WindowedAdjudicator([d.name for d in detectors], k=1),
             )
 
-        runner = ShardedStreamRunner(factory, shards=2, backend="serial")
+        runner = ShardedStreamRunner(factory, shards=2)
         result = runner.run(dataset_replay(small_dataset))
         assert result.adjudication is not None
         union = set()
@@ -127,34 +132,22 @@ class TestShardedStreamRunner:
         fingerprint = result.alert_set("ua-fingerprint").request_ids()
         assert fingerprint <= result.adjudication.alerted_ids
 
-    def test_backpressure_small_queue_still_correct(self, small_dataset):
-        def factory():
-            return StreamEngine(default_online_detectors())
-
-        runner = ShardedStreamRunner(factory, shards=2, backend="thread", queue_size=8, batch_size=4)
-        result = runner.run(dataset_replay(small_dataset))
-        assert result.stats.records == len(small_dataset)
-
     def test_worker_errors_propagate(self):
         class ExplodingDetector(OnlineRequestRateLimiter):
             def observe(self, record, session=None):
                 raise RuntimeError("boom")
 
-        runner = ShardedStreamRunner(
-            lambda: StreamEngine([ExplodingDetector()]), shards=2, backend="thread"
-        )
+        runner = ShardedStreamRunner(lambda: StreamEngine([ExplodingDetector()]), shards=2)
         with pytest.raises(RuntimeError, match="boom"):
             runner.run(make_records(10))
 
     def test_error_during_shard_finish_does_not_deadlock(self):
-        # finish_shard() raising after the sentinel was consumed must not
-        # leave the worker blocked on an empty queue.
         class ExplodingFinishDetector(OnlineRequestRateLimiter):
             def export_state(self):
                 raise RuntimeError("finish boom")
 
         runner = ShardedStreamRunner(
-            lambda: StreamEngine([ExplodingFinishDetector()]), shards=2, backend="thread"
+            lambda: StreamEngine([ExplodingFinishDetector()]), shards=2
         )
         with pytest.raises(RuntimeError, match="finish boom"):
             runner.run(make_records(10))
@@ -163,37 +156,36 @@ class TestShardedStreamRunner:
         def broken_factory():
             raise OSError("no resources")
 
-        runner = ShardedStreamRunner(broken_factory, shards=2, backend="thread")
+        runner = ShardedStreamRunner(broken_factory, shards=2)
         with pytest.raises(OSError, match="no resources"):
             runner.run(make_records(10))
 
-    def test_worker_error_with_full_queue_does_not_deadlock(self):
-        # A dead worker must keep draining its bounded queue, otherwise the
-        # feeder blocks forever on put() and run() never raises.
-        class ExplodingDetector(OnlineRequestRateLimiter):
-            def observe(self, record, session=None):
-                raise RuntimeError("boom")
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM for the timeout")
+    def test_dead_shard_worker_raises_instead_of_hanging(self):
+        class DyingDetector(OnlineRequestRateLimiter):
+            """Kills the shard worker that runs it, as an OOM kill would."""
 
-        runner = ShardedStreamRunner(
-            lambda: StreamEngine([ExplodingDetector()]),
-            shards=1,
-            backend="thread",
-            queue_size=4,
-            batch_size=2,
-        )
-        with pytest.raises(RuntimeError, match="boom"):
-            runner.run(make_records(400))
+            def observe(self, record, session=None):  # pragma: no cover - in a worker
+                os._exit(137)
 
-    def test_serial_backend_throughput_accounts_for_sequential_shards(self, small_dataset):
+        runner = ShardedStreamRunner(lambda: StreamEngine([DyingDetector()]), shards=2)
+        started = time.monotonic()
+        with hang_guard(10), pytest.raises(ShardWorkerError, match="2-worker") as raised:
+            runner.run(make_records(10))
+        assert raised.value.workers == 2
+        assert time.monotonic() - started < 10
+
+    def test_serial_backend_throughput_accounts_for_sequential_shards(
+        self, small_dataset, monkeypatch
+    ):
         def factory():
             return StreamEngine(default_online_detectors())
 
         single = factory().run(dataset_replay(small_dataset))
-        sharded = ShardedStreamRunner(factory, shards=4, backend="serial").run(
-            dataset_replay(small_dataset)
-        )
-        # Serial shards run back to back: total busy time must be in the same
-        # ballpark as one engine over the whole stream, not a quarter of it.
+        disable_fork(monkeypatch)
+        sharded = ShardedStreamRunner(factory, shards=4).run(dataset_replay(small_dataset))
+        # In-process shards run back to back: total busy time must be in the
+        # same ballpark as one engine over the whole stream, not a quarter.
         assert sharded.stats.busy_seconds == pytest.approx(
             single.stats.busy_seconds, rel=0.75
         )
@@ -204,5 +196,3 @@ class TestShardedStreamRunner:
 
         with pytest.raises(DetectorError):
             ShardedStreamRunner(factory, shards=0)
-        with pytest.raises(DetectorError):
-            ShardedStreamRunner(factory, backend="gpu")

@@ -44,7 +44,7 @@ class TestBatchStreamEquivalence:
         assert all(entry.batch_alerts > 0 for entry in report.entries), report.summary()
 
     def test_sharded_replay_is_also_equivalent(self, balanced_dataset):
-        report = verify_equivalence(balanced_dataset, shards=3, backend="serial")
+        report = verify_equivalence(balanced_dataset, shards=3)
         assert report.equivalent, report.summary()
 
     def test_stream_matrix_plugs_into_batch_analysis(self, balanced_dataset):

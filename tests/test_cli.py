@@ -120,7 +120,7 @@ class TestStreamCommand:
         log_path = tmp_path / "access.log"
         main(["generate", "--scenario", "balanced_small", "--seed", "3", "--output", str(log_path)])
         capsys.readouterr()
-        code = main(["stream", "--log-file", str(log_path), "--shards", "2", "--backend", "serial"])
+        code = main(["stream", "--log-file", str(log_path), "--shards", "2"])
         assert code == 0
         out = capsys.readouterr().out
         assert "Streaming Table 1" in out
