@@ -1,9 +1,9 @@
 """Experiment ``perf_prof``: overhead of the sampling profiler.
 
-:mod:`repro.prof` claims low overhead: the stack sampler wakes on its
-own thread at 97 Hz (the profiled workload pays nothing between ticks)
-and the default memory capture reads the resident set only at span
-boundaries and sampler ticks.  This module measures the claim at the
+:mod:`repro.prof` claims low overhead: the stack sampler runs from a
+``SIGPROF`` handler at 97 Hz of process CPU time (the profiled workload
+pays nothing between samples) and the default memory capture reads the
+resident set only at span boundaries and at each sample.  This module measures the claim at the
 profiler benchmark scale (``REPRO_PROF_BENCH_SCALE``, default 0.1 --
 about 144k requests, the ISSUE's acceptance bar):
 

@@ -39,7 +39,8 @@ SAMPLE_LINE = re.compile(
 #: Engine *counters* are bulk-exported at finish, so the live mid-run
 #: signals are the run marker, the per-record latency histogram and --
 #: because the run is spawned with ``--profile`` -- the profiler's
-#: sample counter ticking on its background thread.
+#: sample counter, listed at zero from the start of the capture (its
+#: total is added when the capture stops).
 EXPECTED_METRICS = (
     "repro_runs_total",
     "repro_verdict_seconds_count",
@@ -96,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
         "--metrics-port",
         str(args.metrics_port),
         # Profile the run too: the smoke test then also proves the
-        # sampler's live counter reaches the exposition mid-run.
+        # profiler's counter reaches the exposition mid-run.
         "--profile",
     ]
     env = dict(os.environ)

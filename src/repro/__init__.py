@@ -73,7 +73,8 @@ The underlying subsystems remain directly usable:
   regression thresholds, and a stdlib web dashboard.  ``execute(spec,
   store="runs.db")`` records; ``repro runs`` browses, diffs and serves.
 * :mod:`repro.prof` -- the sampling profiler: a low-overhead
-  background-thread stack sampler plus per-span memory attribution
+  ``SIGPROF``-driven sampler of the main thread's stack (CPU time)
+  plus per-span memory attribution
   (resident-set by default, tracemalloc-exact on request), all
   correlated against the live span tree, with
   collapsed-stack / speedscope exports and run-store persistence.

@@ -66,9 +66,9 @@ Subcommands
     flame / top-spans view).
 ``profile``
     The sampling profiler (:mod:`repro.prof`).  Every executing
-    subcommand takes ``--profile`` (and ``--profile-hz``) to sample
-    stacks on a background thread and attribute CPU time and memory to
-    the run's tracing spans; ``profile run`` executes a saved spec under
+    subcommand takes ``--profile`` (and ``--profile-hz``) to sample the
+    main thread's stack on ``SIGPROF`` and attribute CPU time and memory
+    to the run's tracing spans; ``profile run`` executes a saved spec under
     the profiler with export switches (``--collapsed`` for
     flamegraph.pl input, ``--speedscope`` for speedscope.app JSON),
     ``profile report`` prints a stored run's top-spans / top-functions
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help=(
-            "profile the run: sample stacks on a background thread and "
+            "profile the run: sample the main thread's stack on SIGPROF and "
             "attribute CPU time and memory to the pipeline stages "
             "(the capture rides along in --json output and the run store)"
         ),

@@ -41,6 +41,7 @@ from repro.exceptions import ColumnsError, LabelError
 from repro.logs.dataset import MALICIOUS, Dataset, DatasetMetadata, GroundTruth
 from repro.logs.record import ASSET_SUFFIXES, LogRecord, RequestMethod
 from repro.obs.names import FRAME_ROWS
+from repro.obs.spans import trace_span
 
 #: The dictionary-encoded string columns, in canonical order (matches
 #: the trace format's on-disk order).
@@ -192,14 +193,15 @@ class RecordFrame:
     @classmethod
     def from_dataset(cls, dataset: Dataset, *, registry=None) -> "RecordFrame":
         """Columnarise a materialised data set (labels carried when complete)."""
-        return cls.from_records(
-            dataset.records,
-            ground_truth=dataset.ground_truth,
-            metadata=dataset.metadata,
-            time_ordered=True if dataset.is_time_ordered else None,
-            registry=registry,
-            source="dataset",
-        )
+        with trace_span("frame_build", registry, records=len(dataset)):
+            return cls.from_records(
+                dataset.records,
+                ground_truth=dataset.ground_truth,
+                metadata=dataset.metadata,
+                time_ordered=True if dataset.is_time_ordered else None,
+                registry=registry,
+                source="dataset",
+            )
 
     @classmethod
     def from_records(

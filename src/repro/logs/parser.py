@@ -20,7 +20,7 @@ import gzip
 import re
 from dataclasses import dataclass
 from datetime import datetime
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator
 
 from repro.exceptions import LogParseError
 from repro.logs.record import LogRecord, RequestMethod
@@ -210,7 +210,7 @@ class LogParser:
         with open_log(path) as handle:
             return self.parse(handle)
 
-    def parse_report(self, lines: Sequence[str]) -> tuple[list[LogRecord], ParseReport]:
+    def parse_report(self, lines: Iterable[str]) -> tuple[list[LogRecord], ParseReport]:
         """Parse ``lines`` and also return a :class:`ParseReport`.
 
         Malformed lines never raise here; they are counted (and collected)

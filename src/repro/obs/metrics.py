@@ -22,9 +22,11 @@ Design points:
   processes/shards (bucket-wise addition) and quantile estimates
   (p50/p95/p99) cheap: walk the cumulative counts and interpolate inside
   the target bucket, clamped to the observed min/max.
-* **Thread safety.**  One lock per registry guards every mutation; the
-  live ``/metrics`` server and the profiler's sampler use it from their
-  own threads while the run writes.
+* **Thread safety.**  One lock per registry guards every instrument
+  mutation; the live ``/metrics`` server reads through it from its own
+  thread while the run writes.  Span stacks are per thread and need no
+  lock; the profiler reads the main thread's stack from that thread's
+  own signal handler.
 """
 
 from __future__ import annotations
@@ -270,11 +272,6 @@ class MetricsRegistry:
         #: Completed root spans, in completion order (see repro.obs.spans).
         self.spans: list[Any] = []
         self._span_stacks = threading.local()
-        #: thread ident -> the tuple of span names currently open on that
-        #: thread (root first).  Written by ``trace_span`` on the owning
-        #: thread only; read cross-thread by the sampling profiler, which
-        #: is safe because tuple replacement is atomic under the GIL.
-        self._span_paths: dict[int, tuple[str, ...]] = {}
         self._span_hooks: list[SpanHook] = []
 
     # ------------------------------------------------------------------
@@ -343,15 +340,6 @@ class MetricsRegistry:
         """Stop observing span boundaries (unknown hooks are ignored)."""
         with self._lock:
             self._span_hooks = [h for h in self._span_hooks if h is not hook]
-
-    def active_span_paths(self) -> dict[int, tuple[str, ...]]:
-        """thread ident -> the span path currently open on that thread.
-
-        A point-in-time snapshot (threads between spans are absent); this
-        is the correlation surface the sampling profiler reads to
-        attribute each captured stack to the stage it ran under.
-        """
-        return {ident: path for ident, path in self._span_paths.items() if path}
 
     # ------------------------------------------------------------------
     def stage_timings(self) -> dict[str, float]:

@@ -42,6 +42,7 @@ ENGINE_EQUIVALENT_COUNTERS = (
 # ----------------------------------------------------------------------
 RUNS = "repro_runs_total"
 DATASETS_BUILT = "repro_datasets_built_total"
+LOG_LINES_SKIPPED = "repro_log_lines_skipped_total"
 LABELLED_RECORDS = "repro_labelled_records_total"
 
 # ----------------------------------------------------------------------
@@ -120,6 +121,7 @@ METRIC_REFERENCE: tuple[tuple[str, str, str, str], ...] = (
     (RUNS, "counter", "mode", "workloads executed"),
     (DATASETS_BUILT, "counter", "source", "data sets materialised by source kind"),
     (LABELLED_RECORDS, "counter", "label", "ground-truth-labelled records by label"),
+    (LOG_LINES_SKIPPED, "counter", "-", "malformed log lines skipped by a `source: log` run"),
     (FRAME_ROWS, "counter", "source", "rows loaded into a RecordFrame"),
     (FRAME_SESSIONS, "counter", "-", "session spans produced by vectorized sessionization"),
     (FEATURE_ROWS, "counter", "-", "feature-matrix rows (sessions) computed"),
@@ -150,6 +152,7 @@ METRIC_REFERENCE: tuple[tuple[str, str, str, str], ...] = (
 #: :data:`METRIC_REFERENCE`.
 SPAN_REFERENCE: tuple[tuple[str, str], ...] = (
     ("dataset", "traffic materialisation (generate, parse or replay)"),
+    ("frame_build", "columnarising a materialised data set into a RecordFrame"),
     ("experiment", "the batch diversity experiment over one data set"),
     ("sessionize", "grouping records into visitor sessions"),
     ("features", "batched session feature extraction"),

@@ -19,7 +19,6 @@ yields a shared inert span and records nothing.
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -123,8 +122,6 @@ def trace_span(
     stack = registry._span_stack()
     stack.append(span)
     path = tuple(entry.name for entry in stack)
-    ident = threading.get_ident()
-    registry._span_paths[ident] = path
     for hook in registry._span_hooks:
         hook.span_opened(path)
     span.start = time.perf_counter()
@@ -135,10 +132,8 @@ def trace_span(
         stack.pop()
         if stack:
             stack[-1].children.append(span)
-            registry._span_paths[ident] = path[:-1]
         else:
             registry.spans.append(span)
-            registry._span_paths.pop(ident, None)
         for hook in registry._span_hooks:
             hook.span_closed(span, path)
         registry.histogram(

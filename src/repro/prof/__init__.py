@@ -4,8 +4,9 @@
 stage by stage" with two low-overhead capture backends correlated
 against the live :func:`~repro.obs.spans.trace_span` tree:
 
-* :mod:`repro.prof.sampler` -- a background-thread stack sampler
-  (default 97 Hz) aggregating ``module:qualname`` stacks per span path;
+* :mod:`repro.prof.sampler` -- a ``SIGPROF``-driven sampler of the main
+  thread's stack (process CPU time, default 97 Hz requested)
+  aggregating ``module:qualname`` stacks per span path;
 * :mod:`repro.prof.memory` -- a span hook recording net memory growth
   and peaks per span path (cheap resident-set reads by default,
   tracemalloc-exact with ``precise_memory=True``);

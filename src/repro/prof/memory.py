@@ -14,7 +14,7 @@ Two capture modes share that bookkeeping:
 
 * **resident-set mode** (the default) -- the counter is the process's
   resident set size read from ``/proc/self/statm`` (one small read per
-  boundary, plus one per sampler tick to keep peaks honest between
+  boundary, plus one per stack sample to keep peaks honest between
   boundaries).  Allocator-level churn that never grows the footprint is
   invisible, but the mode costs nothing measurable, which is what lets
   ``--profile`` default to memory capture.
@@ -29,10 +29,13 @@ Two capture modes share that bookkeeping:
   (``tracemalloc.start(1)``): attribution comes from the span tree, not
   from allocation stacks.
 
-In both modes the watermark is process-global, so with spans
-concurrently open on several threads the per-span peaks are an upper
-bound, not an exact per-thread figure.  On platforms without
-``/proc/self/statm`` the tracker falls back to precise mode.
+The tracker follows the main thread's spans, like the stack sampler;
+hook calls from any other thread return at once.  The watermark is
+process-global, so memory that other threads allocate while a
+main-thread span is open counts towards that span.  Nothing here takes
+a lock: :meth:`MemoryTracker.poll` runs inside the sampler's signal
+handler, which can interrupt a span hook at any bytecode.  On platforms
+without ``/proc/self/statm`` the tracker falls back to precise mode.
 """
 
 from __future__ import annotations
@@ -79,8 +82,9 @@ class MemoryTracker:
         self._precise_requested = precise
         self.precise = False
         self._started_tracing = False
-        self._lock = threading.Lock()
-        self._stacks: dict[int, list[_OpenSpanMemory]] = {}
+        self._main_ident = threading.main_thread().ident
+        #: The main thread's open span activations, innermost last.
+        self._stack: list[_OpenSpanMemory] = []
         self._alloc_counter: Counter | None = None
         self._peak_gauge: Gauge | None = None
         #: ``span_path -> net bytes`` across all activations.
@@ -121,53 +125,49 @@ class MemoryTracker:
         return _rss_bytes() or 0
 
     def poll(self) -> None:
-        """Refresh running peaks between boundaries (sampler-tick hook).
+        """Refresh the innermost open span's running peak (per-sample hook).
 
         In precise mode tracemalloc maintains its own watermark and this
-        is a no-op; in resident-set mode each tick bumps the innermost
-        open span of every thread, so a spike that rises and falls
-        between two boundary reads is still attributed.
+        is a no-op; in resident-set mode each sample bumps the innermost
+        open span, so a spike that rises and falls between two boundary
+        reads is still attributed.
         """
-        if self.precise:
+        if self.precise or not self._stack:
             return
+        top = self._stack[-1]
         current = self._current()
-        with self._lock:
-            for stack in self._stacks.values():
-                if stack and current > stack[-1].running_peak:
-                    stack[-1].running_peak = current
+        if current > top.running_peak:
+            top.running_peak = current
 
     # ------------------------------------------------------------------
     # SpanHook interface (called inline on the instrumented thread).
     def span_opened(self, path: tuple[str, ...]) -> None:
-        current = self._current()
-        with self._lock:
-            stack = self._stacks.setdefault(threading.get_ident(), [])
-            stack.append(_OpenSpanMemory(current))
+        if threading.get_ident() != self._main_ident:
+            return
+        self._stack.append(_OpenSpanMemory(self._current()))
         if self.precise:
             tracemalloc.reset_peak()
 
     def span_closed(self, span: Span, path: tuple[str, ...]) -> None:
+        if threading.get_ident() != self._main_ident or not self._stack:
+            # Another thread's span, or one that opened before this hook
+            # attached: nothing to close.
+            return
         if self.precise:
             current, peak = tracemalloc.get_traced_memory()
         else:
             current, peak = self._current(), 0
-        with self._lock:
-            stack = self._stacks.get(threading.get_ident())
-            if not stack:
-                # The span opened before this hook attached; nothing to close.
-                return
-            record = stack.pop()
-            self_peak = max(record.running_peak, peak, current)
-            net = current - record.start_current
-            key = PATH_SEPARATOR.join(path)
-            self.allocated[key] = self.allocated.get(key, 0) + net
-            if self_peak > self.peaks.get(key, 0):
-                self.peaks[key] = self_peak
-            self.calls[key] = self.calls.get(key, 0) + 1
-            if stack:
-                parent = stack[-1]
-                if self_peak > parent.running_peak:
-                    parent.running_peak = self_peak
+        stack = self._stack
+        record = stack.pop()
+        self_peak = max(record.running_peak, peak, current)
+        net = current - record.start_current
+        key = PATH_SEPARATOR.join(path)
+        self.allocated[key] = self.allocated.get(key, 0) + net
+        if self_peak > self.peaks.get(key, 0):
+            self.peaks[key] = self_peak
+        self.calls[key] = self.calls.get(key, 0) + 1
+        if stack and self_peak > stack[-1].running_peak:
+            stack[-1].running_peak = self_peak
         if self.precise:
             # Restart the watermark for whatever runs after this span.
             tracemalloc.reset_peak()

@@ -199,7 +199,8 @@ def parse_collapsed(text: str) -> tuple[StackSample, ...]:
 class Profile:
     """Everything one profiled run captured, aggregated and orderable."""
 
-    #: Sampling rate the stack sampler ran at.
+    #: Sampling rate the stack sampler delivered: samples per process
+    #: CPU second of the capture (sample counts over it are CPU seconds).
     hz: float
     #: Wall-clock seconds between profiler start and stop.
     duration_seconds: float

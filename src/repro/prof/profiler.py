@@ -1,11 +1,15 @@
 """The profiler facade: options, lifecycle, profile assembly.
 
 :class:`Profiler` composes the two capture backends -- the
-:class:`~repro.prof.sampler.StackSampler` (CPU, background thread) and
-the :class:`~repro.prof.memory.MemoryTracker` (allocations, span hook)
--- over one live :class:`~repro.obs.metrics.MetricsRegistry`, whose span
-tree is the correlation key for both.  Stopping the profiler seals the
-aggregates into a :class:`~repro.prof.profile.Profile`.
+:class:`~repro.prof.sampler.StackSampler` (main-thread CPU time, driven
+by ``SIGPROF``) and the :class:`~repro.prof.memory.MemoryTracker`
+(allocations, span hook) -- over one live
+:class:`~repro.obs.metrics.MetricsRegistry`, whose span tree is the
+correlation key for both.  Stopping the profiler seals the aggregates
+into a :class:`~repro.prof.profile.Profile`, whose ``hz`` is the rate
+the timer actually delivered (samples per process CPU second), so
+sample counts convert back into CPU seconds.  A profiler starts and
+stops on the main thread, one at a time per process.
 
 Entry points, outermost first:
 
@@ -40,10 +44,12 @@ from repro.prof.sampler import DEFAULT_HZ, DEFAULT_MAX_DEPTH, StackSampler
 class ProfileOptions:
     """How to profile a run (all fields optional, validated on build)."""
 
-    #: Stack-sampling rate; 0 < hz <= 1000 (default 97, a prime).
+    #: Requested stack-sampling rate; 0 < hz <= 1000 (default 97, a
+    #: prime).  The kernel tick caps what is delivered (see
+    #: :mod:`repro.prof.sampler`).
     hz: float = DEFAULT_HZ
     #: Capture per-span memory growth / peaks (resident-set reads at span
-    #: boundaries and sampler ticks -- effectively free).
+    #: boundaries and samples -- effectively free).
     memory: bool = True
     #: Use tracemalloc for exact per-span traced bytes instead of
     #: resident-set reads.  Precise, but taxes every allocation in the
@@ -115,21 +121,25 @@ class Profiler:
             raise ProfError("profiler already started")
         if self.profile is not None:
             raise ProfError("a Profiler is single-use; build a new one")
+        memory: MemoryTracker | None = None
         if self.options.memory:
-            self._memory = MemoryTracker(
+            memory = MemoryTracker(
                 self.registry,
                 precise=True if self.options.precise_memory else None,
             )
-            self._memory.start()
-            self.registry.add_span_hook(self._memory)
-        self._sampler = StackSampler(
+        sampler = StackSampler(
             self.registry,
             hz=self.options.hz,
             max_depth=self.options.max_stack_depth,
-            on_tick=self._memory.poll if self._memory is not None else None,
+            on_tick=memory.poll if memory is not None else None,
         )
         self._started_at = time.perf_counter()
-        self._sampler.start()
+        sampler.start()
+        self._sampler = sampler
+        if memory is not None:
+            memory.start()
+            self.registry.add_span_hook(memory)
+            self._memory = memory
 
     def stop(self) -> Profile:
         """Stop capturing and seal the aggregates into a :class:`Profile`."""
@@ -156,7 +166,7 @@ class Profiler:
         else:
             memory_mode = "tracemalloc" if memory.precise else "rss"
         self.profile = Profile(
-            hz=self.options.hz,
+            hz=self._sampler.delivered_hz() or self.options.hz,
             duration_seconds=duration,
             samples=samples,
             spans=spans,

@@ -1,18 +1,32 @@
-"""The background-thread stack sampler.
+"""The signal-driven stack sampler.
 
-A :class:`StackSampler` wakes at a fixed rate on its own daemon thread,
-snapshots every interesting thread's Python stack via
-``sys._current_frames()`` and aggregates the walks in place -- no
-per-sample allocation beyond the first occurrence of a stack, no
-tracing hooks in the profiled code, so the profiled workload runs at
-full speed between ticks.
+A :class:`StackSampler` arms the process's profiling interval timer
+(``signal.setitimer(signal.ITIMER_PROF, ...)``) and samples from the
+``SIGPROF`` handler.  Python runs that handler on the main thread and
+hands it the frame it interrupted, so a sample is the main thread's
+stack at that instant -- no second thread, and no waiting for the GIL,
+which would land the samples on whatever short C call released it
+next.  Each stack is attributed to the span path open on the main
+thread (read from the registry's own span stack) and aggregated in
+place.
 
-Interesting threads are (a) the thread that started the sampler (the
-run's main thread) and (b) every thread currently inside a
-``trace_span`` (read from
-:meth:`~repro.obs.metrics.MetricsRegistry.active_span_paths`); each
-captured stack is attributed to the span path its thread was under at
-that instant, which is what correlates raw frames with pipeline stages.
+Properties of the capture:
+
+* **CPU time.**  ``ITIMER_PROF`` counts the process's CPU time, so a
+  wait (I/O, sleeping, a parent blocked on forked workers) shows in span
+  durations but gets few samples.  Forked children inherit no interval
+  timer and are not sampled.
+* **Main thread only.**  Work on other threads still advances the timer,
+  but the sample lands on the main thread's current frame.
+* **Delivered rate.**  The timer cannot fire faster than the kernel
+  tick (about 250 Hz on a common Linux build), so the rate actually
+  delivered is measured: :attr:`StackSampler.cpu_seconds` is the process
+  CPU time of the capture and :meth:`StackSampler.delivered_hz` the
+  samples per CPU second, which is what turns sample counts back into
+  seconds.
+* **The handler takes no lock.**  It interrupts the main thread at any
+  bytecode, including inside code that holds a lock, so it only touches
+  its own aggregates (the samples counter gets its total once, at stop).
 
 The default rate is 97 Hz -- a prime frequency, so the sampler cannot
 phase-lock with millisecond-periodic work and systematically hit (or
@@ -21,11 +35,11 @@ miss) the same code.
 
 from __future__ import annotations
 
-import sys
+import signal
 import threading
 import time
 from types import FrameType
-from typing import Callable
+from typing import Any, Callable
 
 from repro.exceptions import ProfError
 from repro.obs.metrics import Counter, MetricsRegistry
@@ -41,11 +55,11 @@ DEFAULT_MAX_DEPTH = 64
 
 
 class StackSampler:
-    """Sample thread stacks at a fixed rate and aggregate them.
+    """Sample the main thread's stack on ``SIGPROF`` and aggregate it.
 
-    Lifecycle: construct, :meth:`start`, run the workload, :meth:`stop`;
-    then read :attr:`counts` / :attr:`span_self_samples`.  A sampler is
-    single-use.
+    Lifecycle: construct, :meth:`start`, run the workload, :meth:`stop`
+    (all on the main thread); then read :attr:`counts` /
+    :attr:`span_self_samples`.  A sampler is single-use.
     """
 
     def __init__(
@@ -65,94 +79,78 @@ class StackSampler:
         self._registry = registry
         self._interval = 1.0 / hz
         self._max_depth = max_depth
-        #: Piggy-backed per-tick work (e.g. the memory tracker's peak
-        #: poll) -- runs on the sampler thread after each stack capture.
+        #: Piggy-backed per-sample work (e.g. the memory tracker's peak
+        #: poll) -- runs inside the signal handler, so it must take no lock.
         self._on_tick = on_tick
-        self._stop_event = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._finished = False
+        self._span_stack: list[Any] = []
+        self._previous_handler: Any = None
         self._counter: Counter | None = None
+        self._running = False
+        self._finished = False
+        self._cpu_started = 0.0
         #: ``(span_path, frames) -> sample count`` aggregate.
         self.counts: dict[tuple[str, tuple[str, ...]], int] = {}
         #: ``span_path -> self sample count`` ("" = outside any span).
         self.span_self_samples: dict[str, int] = {}
         #: Total stacks captured.
         self.samples = 0
-        #: Sampler ticks that fell behind schedule (overload signal).
-        self.missed_ticks = 0
-        self._targets: set[int] = set()
+        #: Process CPU seconds between start and stop.
+        self.cpu_seconds = 0.0
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Start sampling; the calling thread becomes a sampling target."""
-        if self._thread is not None or self._finished:
+        """Install the ``SIGPROF`` handler and arm the profiling timer."""
+        if self._running or self._finished:
             raise ProfError("stack sampler already started")
-        self._targets.add(threading.get_ident())
+        if threading.current_thread() is not threading.main_thread():
+            raise ProfError("the stack sampler samples the main thread; start it there")
+        if not hasattr(signal, "setitimer"):
+            raise ProfError("stack sampling needs signal.setitimer (not on this platform)")
+        if signal.getitimer(signal.ITIMER_PROF) != (0.0, 0.0):
+            raise ProfError("the profiling timer is already armed: another profiler is running")
         if self._registry.enabled:
+            # Listed (at zero) by the live exposition from the start; the
+            # total is added once, at stop.
             self._counter = self._registry.counter(
                 PROFILE_SAMPLES, "Stack samples captured by the profiler."
             )
-        self._stop_event.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-prof-sampler", daemon=True
-        )
-        self._thread.start()
+            self._counter.inc(0)
+        self._span_stack = self._registry._span_stack()
+        self._previous_handler = signal.signal(signal.SIGPROF, self._handle)
+        self._running = True
+        self._cpu_started = time.process_time()
+        signal.setitimer(signal.ITIMER_PROF, self._interval, self._interval)
 
     def stop(self) -> None:
-        """Stop the sampling thread and seal the aggregates."""
-        if self._thread is None:
+        """Disarm the timer, restore the previous handler, seal the aggregates."""
+        if not self._running:
             raise ProfError("stack sampler is not running")
-        self._stop_event.set()
-        self._thread.join()
-        self._thread = None
+        signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
+        self.cpu_seconds = time.process_time() - self._cpu_started
+        previous = self._previous_handler
+        signal.signal(signal.SIGPROF, signal.SIG_DFL if previous is None else previous)
+        self._running = False
         self._finished = True
+        if self._counter is not None:
+            self._counter.inc(self.samples)
+
+    def delivered_hz(self) -> float:
+        """Samples per process CPU second of the capture (0 before any)."""
+        if self.samples == 0 or self.cpu_seconds <= 0:
+            return 0.0
+        return self.samples / self.cpu_seconds
 
     # ------------------------------------------------------------------
-    def _run(self) -> None:
-        own_ident = threading.get_ident()
-        next_tick = time.perf_counter() + self._interval
-        while not self._stop_event.is_set():
-            self._sample_once(own_ident)
-            if self._on_tick is not None:
-                self._on_tick()
-            delay = next_tick - time.perf_counter()
-            if delay > 0:
-                self._stop_event.wait(delay)
-                next_tick += self._interval
-            else:
-                # Fell behind (a tick took longer than the interval):
-                # resynchronise instead of bursting to catch up.
-                self.missed_ticks += 1
-                next_tick = time.perf_counter() + self._interval
-
-    def _sample_once(self, own_ident: int) -> None:
-        paths = self._registry.active_span_paths()
-        targets = self._targets | set(paths)
-        targets.discard(own_ident)
-        if not targets:
-            return
-        frames = sys._current_frames()
-        captured = 0
-        try:
-            for ident in targets:
-                frame = frames.get(ident)
-                if frame is None:
-                    continue
-                stack = self._walk(frame)
-                if not stack:
-                    continue
-                span_path = PATH_SEPARATOR.join(paths.get(ident, ()))
-                key = (span_path, stack)
-                self.counts[key] = self.counts.get(key, 0) + 1
-                self.span_self_samples[span_path] = (
-                    self.span_self_samples.get(span_path, 0) + 1
-                )
-                captured += 1
-        finally:
-            del frames  # drop the frame references promptly
-        self.samples += captured
-        if captured and self._counter is not None:
-            self._counter.inc(captured)
+    def _handle(self, _signum: int, frame: FrameType | None) -> None:
+        stack = self._walk(frame)
+        if stack:
+            span_path = PATH_SEPARATOR.join(span.name for span in self._span_stack)
+            key = (span_path, stack)
+            self.counts[key] = self.counts.get(key, 0) + 1
+            self.span_self_samples[span_path] = self.span_self_samples.get(span_path, 0) + 1
+            self.samples += 1
+        if self._on_tick is not None:
+            self._on_tick()
 
     def _walk(self, frame: FrameType | None) -> tuple[str, ...]:
         stack: list[str] = []

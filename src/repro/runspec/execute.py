@@ -34,7 +34,7 @@ from repro.core.reporting import render_evaluation_rows, render_table1
 from repro.detectors.registry import create_detector
 from repro.exceptions import SpecError
 from repro.logs.dataset import Dataset
-from repro.logs.parser import LogParser
+from repro.logs.parser import LogParser, open_log
 from repro.logs.record import LogRecord
 from repro.mitigation.metrics import MitigationReport, build_report, render_mitigation_report
 from repro.mitigation.policy import get_policy
@@ -99,7 +99,11 @@ def _build_dataset(traffic: TrafficSpec, source: str, registry: MetricsRegistry)
         assert traffic.path is not None  # TrafficSpec validates this
         return read_trace(traffic.path, registry=registry)
     if source == "log":
-        records = LogParser(skip_malformed=True).parse_file(traffic.log_file)
+        with open_log(traffic.log_file) as handle:
+            records, report = LogParser().parse_report(handle)
+        registry.counter(
+            metric_names.LOG_LINES_SKIPPED, "Malformed log lines skipped while parsing."
+        ).inc(report.skipped)
         return Dataset(records)
     name = traffic.scenario or DEFAULT_SCENARIO
     kwargs = traffic.scenario_kwargs()
@@ -243,12 +247,12 @@ def execute(
     profile:
         Profile the run: ``True`` (defaults), a
         :class:`~repro.prof.profiler.ProfileOptions` or a mapping of its
-        fields samples stacks on a background thread and attributes CPU
-        time and memory to the run's tracing spans; the result carries
-        the capture as ``RunResult.profile`` (and it lands in the run
-        store's ``profiles`` table when the run is recorded).  Profiling
-        needs span telemetry, so a run profiled without a ``registry``
-        gets a private one.  ``None`` / ``False`` (the default) keep the
+        fields samples the main thread's stack on ``SIGPROF`` and
+        attributes CPU time and memory to the run's tracing spans; the
+        result carries the capture as ``RunResult.profile`` (and it
+        lands in the run store's ``profiles`` table when the run is
+        recorded).  Profiling needs span telemetry, so a run profiled
+        without a ``registry`` gets a private one.  ``None`` / ``False`` (the default) keep the
         no-profiling fast path at zero cost.
     """
     registry = resolve_registry(registry)

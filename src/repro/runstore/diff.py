@@ -158,13 +158,15 @@ def _profile_values(
 ) -> dict[str, float]:
     """Per-span self time and peak memory of a stored profile capture.
 
-    Self time is the span's self sample count over the sampling rate --
-    a statistical estimate, but one whose *relative* change between two
-    profiled runs of the same spec tracks real hot-path drift.  Memory
-    figures are only meaningful against a capture of the same mode
-    (resident-set watermarks vs tracemalloc traced bytes differ by
-    orders of magnitude), so the caller disables them via ``memory=``
-    when the two profiles' modes disagree.
+    Self time is the span's self sample count over the delivered
+    sampling rate: CPU seconds (the sampler counts process CPU time, so
+    a span that waits shows little).  It is a statistical estimate, but
+    its *relative* change between two profiled runs of the same spec
+    tracks real hot-path drift.  Memory figures are only meaningful
+    against a capture of the same mode (resident-set watermarks vs
+    tracemalloc traced bytes differ by orders of magnitude), so the
+    caller disables them via ``memory=`` when the two profiles' modes
+    disagree.
     """
     values: dict[str, float] = {}
     if not profile:

@@ -24,6 +24,7 @@ from repro.runspec.spec import RunSpec, TrafficSpec
 from repro.stream.detectors import default_online_detectors
 from repro.stream.engine import StreamEngine
 from repro.stream.sources import dataset_replay
+from repro.trace import write_trace
 from repro.traffic.generator import generate_dataset
 from repro.traffic.scenarios import get_scenario
 
@@ -124,6 +125,21 @@ class TestExecuteTelemetry:
         assert {"simulate", "report"} <= set(result.timings)
         actions = _counter_series(registry, metric_names.ENFORCEMENT_ACTIONS)
         assert sum(actions.values()) == result.total_requests
+
+    def test_frame_build_is_spanned_unless_the_frame_comes_from_a_trace(
+        self, dataset, tmp_path
+    ):
+        registry = MetricsRegistry()
+        execute(self._spec("tables"), registry=registry)
+        assert "frame_build" in registry.stage_timings()
+        path = str(tmp_path / "traffic.trace")
+        write_trace(dataset, path)
+        registry = MetricsRegistry()
+        spec = RunSpec(mode="tables", traffic=TrafficSpec(source="trace", path=path))
+        execute(spec, registry=registry)
+        timings = registry.stage_timings()
+        assert "dataset" in timings
+        assert "frame_build" not in timings
 
     def test_uninstrumented_execute_is_unchanged(self):
         result = execute(self._spec("tables"))

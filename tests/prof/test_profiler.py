@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import signal
+import threading
 import time
 
 import pytest
@@ -22,13 +24,14 @@ from repro.prof import (
     StackSampler,
     profile_run,
 )
+from tests.helpers import hang_guard
 
 
 def spin(seconds: float) -> int:
-    """Busy work the sampler can catch."""
-    deadline = time.perf_counter() + seconds
+    """Busy work the sampler can catch: ``seconds`` of process CPU time."""
+    deadline = time.process_time() + seconds
     total = 0
-    while time.perf_counter() < deadline:
+    while time.process_time() < deadline:
         total += sum(range(200))
     return total
 
@@ -89,8 +92,57 @@ class TestStackSampler:
         # Sampled stacks end in this module's functions.
         leaves = {frames[-1] for (_path, frames) in sampler.counts}
         assert any("spin" in leaf or "test_profiler" in leaf for leaf in leaves)
-        # The live counter saw the same total.
+        # The counter is published once, at stop, with the same total.
         assert registry.counter(PROFILE_SAMPLES).total() == sampler.samples
+        # Samples per CPU second: near the request, never above it.
+        assert sampler.cpu_seconds >= 0.25
+        assert 125.0 < sampler.delivered_hz() <= 250.0 * 1.1
+
+    def test_stop_disarms_the_timer_and_restores_the_handler(self):
+        def previous(_signum, _frame):
+            pass
+
+        before = signal.signal(signal.SIGPROF, previous)
+        try:
+            sampler = StackSampler(MetricsRegistry(), hz=200.0)
+            sampler.start()
+            assert signal.getitimer(signal.ITIMER_PROF) != (0.0, 0.0)
+            assert signal.getsignal(signal.SIGPROF) is not previous
+            spin(0.05)
+            sampler.stop()
+            assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+            assert signal.getsignal(signal.SIGPROF) is previous
+        finally:
+            signal.signal(signal.SIGPROF, before)
+
+    def test_start_off_the_main_thread_raises(self):
+        sampler = StackSampler(MetricsRegistry(), hz=200.0)
+        errors: list[BaseException] = []
+
+        def start() -> None:
+            try:
+                sampler.start()
+            except ProfError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=start)
+        thread.start()
+        thread.join()
+        assert len(errors) == 1 and "main thread" in str(errors[0])
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+
+    def test_start_without_setitimer_raises(self, monkeypatch):
+        monkeypatch.delattr(signal, "setitimer")
+        with pytest.raises(ProfError, match="setitimer"):
+            StackSampler(MetricsRegistry(), hz=200.0).start()
+
+    def test_start_with_the_timer_already_armed_raises(self):
+        signal.setitimer(signal.ITIMER_PROF, 10.0, 10.0)
+        try:
+            with pytest.raises(ProfError, match="another profiler"):
+                StackSampler(MetricsRegistry(), hz=200.0).start()
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
 
     def test_single_use(self):
         sampler = StackSampler(MetricsRegistry(), hz=200.0)
@@ -168,7 +220,7 @@ class TestMemoryTracker:
             with trace_span("experiment", registry):
                 with trace_span("detectors", registry):
                     blob = bytearray(8 * 1024 * 1024)  # 8 MiB, RSS-visible
-                    tracker.poll()  # what the sampler tick does
+                    tracker.poll()  # what each stack sample does
                     del blob
         finally:
             registry.remove_span_hook(tracker)
@@ -182,6 +234,26 @@ class TestMemoryTracker:
         assert tracker.peaks[child] > 8 * 1024 * 1024
         assert tracker.peaks["experiment"] >= tracker.peaks[child]
         assert registry.gauge(PROFILE_SPAN_PEAK_BYTES).value(span=child) > 0
+
+    def test_spans_on_other_threads_are_ignored(self):
+        registry = MetricsRegistry()
+        tracker = MemoryTracker(registry)
+        tracker.start()
+        registry.add_span_hook(tracker)
+
+        def worker() -> None:
+            with trace_span("experiment", registry):
+                pass
+
+        try:
+            with trace_span("dataset", registry):
+                thread = threading.Thread(target=worker)
+                thread.start()
+                thread.join()
+        finally:
+            registry.remove_span_hook(tracker)
+            tracker.stop()
+        assert tracker.calls == {"dataset": 1}
 
     def test_falls_back_to_precise_when_tracemalloc_is_already_tracing(self):
         import tracemalloc
@@ -225,7 +297,8 @@ class TestProfiler:
         profile = profiler.stop()
 
         assert profile is profiler.profile
-        assert profile.hz == 250.0
+        # The recorded rate is the delivered one, not the 250 Hz request.
+        assert 125.0 < profile.hz <= 250.0 * 1.1
         assert profile.duration_seconds > 0.15
         assert profile.sample_count() > 0
         dataset = profile.span("dataset")
@@ -262,6 +335,39 @@ class TestProfiler:
         profiler.stop()
         with pytest.raises(ProfError, match="single-use"):
             profiler.start()
+
+    def test_second_concurrent_profiler_raises_and_leaves_the_first_intact(self):
+        registry = MetricsRegistry()
+        with profile_run(registry, ProfileOptions(hz=200.0)) as first:
+            second = Profiler(registry, ProfileOptions(hz=200.0))
+            with pytest.raises(ProfError, match="another profiler"):
+                second.start()
+            # The failed start left no span hook behind.
+            assert registry._span_hooks == [first._memory]
+            with trace_span("dataset", registry):
+                spin(0.1)
+        profile = first.profile
+        assert profile is not None
+        assert profile.span("dataset").self_samples > 0
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+
+    def test_span_heavy_loop_under_the_fastest_rate_does_not_hang(self):
+        """The handler interrupts span hooks at any bytecode; it must take no lock."""
+        registry = MetricsRegistry()
+        options = ProfileOptions(hz=1000.0, memory=True)
+        spans = 0
+        with hang_guard(10):
+            with profile_run(registry, options) as profiler:
+                deadline = time.perf_counter() + 2.0
+                while time.perf_counter() < deadline:
+                    with trace_span("experiment", registry):
+                        with trace_span("detectors", registry):
+                            spans += 2
+        profile = profiler.profile
+        assert profile is not None
+        assert spans > 1000
+        assert profile.sample_count() > 0
+        assert profile.span("experiment/detectors").calls == spans // 2
 
     def test_precise_memory_option_marks_the_capture(self):
         registry = MetricsRegistry()

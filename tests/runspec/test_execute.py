@@ -243,6 +243,23 @@ class TestBuildDataset:
         replayed = build_dataset(TrafficSpec(log_file=str(path)))
         assert len(replayed) == len(small_spec_dataset)
 
+    def test_log_file_replay_counts_skipped_malformed_lines(self, tmp_path):
+        from repro.obs import MetricsRegistry
+        from repro.obs.names import LOG_LINES_SKIPPED
+
+        valid = (
+            '203.0.113.9 - - [11/Mar/2018:06:25:{:02d} +0000] "GET /search HTTP/1.1" '
+            '200 1831 "-" "Mozilla/5.0 (X11; Linux x86_64)"'
+        )
+        lines = [valid.format(1), "garbage", valid.format(2), "not a log line", valid.format(3)]
+        path = tmp_path / "access.log"
+        path.write_text("\n".join(lines) + "\n")
+        registry = MetricsRegistry()
+        replayed = build_dataset(TrafficSpec(log_file=str(path)), registry=registry)
+        assert len(replayed) == 3
+        assert [record.request_id for record in replayed.records] == ["r0", "r1", "r2"]
+        assert registry.counter(LOG_LINES_SKIPPED).total() == 2
+
     def test_unknown_scenario_has_suggestion(self):
         from repro.exceptions import ScenarioError
 
